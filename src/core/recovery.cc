@@ -126,7 +126,7 @@ RecoveredImage::verifyLine(Addr line_addr) const
     return v;
 }
 
-std::unordered_map<Addr, LineData>::iterator
+LineData &
 RecoveredImage::install(Addr line_addr, const VerifiedLine &v) const
 {
     detected += v.detected;
@@ -134,7 +134,10 @@ RecoveredImage::install(Addr line_addr, const VerifiedLine &v) const
     replays += v.replayed;
     if (v.quarantined)
         quarantine.insert(line_addr);
-    return cache.emplace(line_addr, v.plain).first;
+    auto [line, inserted] = cache.tryEmplace(line_addr / lineBytes);
+    if (inserted)
+        line = v.plain;
+    return line;
 }
 
 void
@@ -186,10 +189,8 @@ RecoveredImage::preScan(Addr base, Addr end, WorkPool *pool,
 LineData &
 RecoveredImage::cachedLine(Addr line_addr) const
 {
-    auto it = cache.find(line_addr);
-    if (it == cache.end())
-        it = install(line_addr, verifyLine(line_addr));
-    return it->second;
+    LineData *line = cache.find(line_addr / lineBytes);
+    return line != nullptr ? *line : install(line_addr, verifyLine(line_addr));
 }
 
 void

@@ -14,10 +14,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/line_table.hh"
 #include "memctl/mem_controller.hh"
 #include "nvm/nvm_device.hh"
 #include "nvm/persist_image.hh"
@@ -130,8 +130,9 @@ class RecoveredImage : public ByteReader
     const PersistSource &src;
     const MemController &ctl;
 
-    /** Decrypted lines plus rollback overlays. */
-    mutable std::unordered_map<Addr, LineData> cache;
+    /** Decrypted lines plus rollback overlays, keyed by address /
+     *  lineBytes. */
+    mutable LineTable<LineData> cache;
 
     /**
      * Integrity bookkeeping (populated lazily as lines decrypt).
@@ -167,9 +168,9 @@ class RecoveredImage : public ByteReader
      *  threads. */
     VerifiedLine verifyLine(Addr line_addr) const;
 
-    /** Folds a verified line into the cache and the bookkeeping. */
-    std::unordered_map<Addr, LineData>::iterator
-    install(Addr line_addr, const VerifiedLine &v) const;
+    /** Folds a verified line into the cache and the bookkeeping;
+     *  returns the cached line. */
+    LineData &install(Addr line_addr, const VerifiedLine &v) const;
 
     LineData &cachedLine(Addr line_addr) const;
 };

@@ -155,6 +155,14 @@ MemController::ctrLineChannel(Addr ctr_line_addr) const
         & (cfg.numChannels - 1));
 }
 
+std::uint64_t
+MemController::ctrLineLocalIndex(Addr ctr_line_addr) const
+{
+    cnvm_assert(ctrLineChannel(ctr_line_addr) == cfg.channelId);
+    return (ctr_line_addr - cfg.counterRegionBase) / lineBytes
+        / cfg.numChannels;
+}
+
 // ----------------------------------------------------------------------
 // Functional views
 // ----------------------------------------------------------------------
@@ -390,16 +398,16 @@ MemController::visibleCounters(Addr ctr_addr)
 CounterLine
 MemController::currentCounters(Addr ctr_addr) const
 {
-    CounterLine values{};
-    std::uint64_t first_line =
-        (ctr_addr - cfg.counterRegionBase) / lineBytes * countersPerLine;
-    for (unsigned s = 0; s < countersPerLine; ++s) {
-        Addr data_addr = first_line * lineBytes
-                       + static_cast<Addr>(s) * lineBytes;
-        auto it = currentCounter.find(data_addr);
-        values[s] = it == currentCounter.end() ? 0 : it->second;
-    }
-    return values;
+    const CounterLine *values =
+        currentCounter.find(ctrLineLocalIndex(ctr_addr));
+    return values == nullptr ? CounterLine{} : *values;
+}
+
+void
+MemController::setCurrentCounter(Addr data_line_addr, std::uint64_t counter)
+{
+    currentCounter[ctrLineLocalIndex(counterLineAddr(data_line_addr))]
+                  [counterSlot(data_line_addr)] = counter;
 }
 
 // ----------------------------------------------------------------------
@@ -667,7 +675,7 @@ MemController::tryWrite(const WriteReq &req)
         // entry (section 5.2.1, write accesses); the ciphertext and
         // queue entries appear at pipeline exit.
         counter = ++globalCounter;
-        currentCounter[req.addr] = counter;
+        setCurrentCounter(req.addr, counter);
         if (pair)
             ++atomicPairs;
     }
@@ -1433,7 +1441,7 @@ MemController::initLine(Addr line_addr, const LineData &plaintext)
     }
 
     std::uint64_t counter = ++globalCounter;
-    currentCounter[line_addr] = counter;
+    setCurrentCounter(line_addr, counter);
     LineData cipher = ctrEngine.encrypt(line_addr, counter, plaintext);
     nvm.drainData(line_addr, cipher, counter);
     if (cfg.integrityMac) {
@@ -1552,21 +1560,16 @@ MemController::reseedFromPersistedImage()
     // "Counter state across a power failure").
     currentCounter.clear();
     globalCounter = 0;
-    for (const auto &[ctr_addr, values] : nvm.persistedCounterLines()) {
-        // The image is shared across channels; this channel's engine
-        // only rebuilds the counters of the lines it owns.
-        if (ctrLineChannel(ctr_addr) != cfg.channelId)
-            continue;
-        std::uint64_t first_line =
-            (ctr_addr - cfg.counterRegionBase) / lineBytes
-            * countersPerLine;
-        for (unsigned s = 0; s < countersPerLine; ++s) {
-            if (values[s] == 0)
-                continue;
-            currentCounter[(first_line + s) * lineBytes] = values[s];
-            globalCounter = std::max(globalCounter, values[s]);
-        }
-    }
+    // The image is shared across channels; this channel's engine only
+    // visits the counter lines it owns — every numChannels-th line of
+    // the counter region, starting at its own channel index.
+    nvm.persistedState().counterLines().forEachStrided(
+        cfg.numChannels, cfg.counterRegionBase / lineBytes + cfg.channelId,
+        [this](std::uint64_t key, const CounterLine &values) {
+            currentCounter[ctrLineLocalIndex(key * lineBytes)] = values;
+            for (std::uint64_t v : values)
+                globalCounter = std::max(globalCounter, v);
+        });
     // Pending kick events from before the failure are epoch-guarded
     // no-ops, so they will never clear these flags themselves; left
     // set, they would wedge the drain engine of the post-crash state.

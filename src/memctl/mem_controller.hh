@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/line_table.hh"
 #include "crypto/ctr_engine.hh"
 #include "mem/mem_backend.hh"
 #include "memctl/counter_cache.hh"
@@ -474,8 +475,12 @@ class MemController : public MemBackend
     /** Monotonic counter source (paper section 5.2.1). */
     std::uint64_t globalCounter = 0;
 
-    /** Engine's record of the counter each line was last encrypted with. */
-    std::unordered_map<Addr, std::uint64_t> currentCounter;
+    /**
+     * Engine's record of the counter each line was last encrypted
+     * with, one CounterLine per counter line of this channel, keyed
+     * by ctrLineLocalIndex() so the table is dense per channel.
+     */
+    LineTable<CounterLine> currentCounter;
 
     std::vector<std::function<void()>> retryCallbacks;
 
@@ -546,6 +551,13 @@ class MemController : public MemBackend
 
     /** The channel owning a counter line under the block interleave. */
     unsigned ctrLineChannel(Addr ctr_line_addr) const;
+
+    /** A counter line's index among this channel's counter lines. */
+    std::uint64_t ctrLineLocalIndex(Addr ctr_line_addr) const;
+
+    /** Records @p counter as the one @p data_line_addr was last
+     *  encrypted with. */
+    void setCurrentCounter(Addr data_line_addr, std::uint64_t counter);
 
     /** Safe-to-persist counter values: persisted image overlaid with
      *  pending counter-queue entries in age order. */

@@ -76,8 +76,8 @@ FaultModel::applyMediaFaults(PersistImage &img)
         && spec.counterFaults == 0 && spec.replays == 0)
         return;
 
-    // Victims come from the sorted persisted-line list: unordered_map
-    // iteration order would break Replay/Fork fingerprint identity.
+    // Victims come from the sorted persisted-line list, so Replay and
+    // Fork captures of one state draw the same ones.
     std::vector<Addr> lines = img.dataLineAddrs();
     if (lines.empty())
         return;

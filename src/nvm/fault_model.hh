@@ -21,8 +21,7 @@
  * FaultSpec applied to the same persisted image mutates it
  * identically, in Replay and Fork sweep modes alike, at any job
  * count. Victim lines are chosen from the *sorted* persisted address
- * list, never from hash-map iteration order, which is what makes the
- * sweep fingerprint reproducible.
+ * list, which is what makes the sweep fingerprint reproducible.
  *
  * Injected corruptions are recorded in the image as simulator-only
  * ground truth (PersistImage::lineFaulted), which is how the crash

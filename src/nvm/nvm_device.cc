@@ -122,10 +122,8 @@ LineData
 NvmDevice::livePlainRead(Addr line_addr) const
 {
     cnvm_assert(isLineAligned(line_addr));
-    auto it = livePlain.find(line_addr);
-    if (it == livePlain.end())
-        return LineData{};
-    return it->second;
+    const LineData *line = livePlain.find(line_addr / lineBytes);
+    return line == nullptr ? LineData{} : *line;
 }
 
 void
@@ -134,7 +132,7 @@ NvmDevice::livePlainStore(Addr byte_addr, unsigned size,
 {
     Addr line_addr = lineAlign(byte_addr);
     cnvm_assert(byte_addr + size <= line_addr + lineBytes);
-    LineData &line = livePlain[line_addr];
+    LineData &line = livePlain[line_addr / lineBytes];
     std::memcpy(line.data() + (byte_addr - line_addr), bytes, size);
 }
 

@@ -27,9 +27,9 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/line_table.hh"
 #include "common/types.hh"
 #include "crypto/ctr_engine.hh"
 #include "mem/channel_map.hh"
@@ -120,13 +120,6 @@ class NvmDevice
         return persisted.persistedCounters(ctr_line_addr);
     }
 
-    /** @copydoc PersistImage::counterLines */
-    const std::unordered_map<Addr, CounterLine> &
-    persistedCounterLines() const
-    {
-        return persisted.counterLines();
-    }
-
     /** @copydoc PersistSource::persistedCipherCounter */
     std::uint64_t
     persistedCipherCounter(Addr line_addr) const
@@ -174,10 +167,12 @@ class NvmDevice
      * Guards the persisted image under the partitioned kernel, where
      * per-channel controller threads drain into the shared device
      * concurrently. Lines interleave across channels at block
-     * granularity within the same unordered_map, so concurrent drains
-     * can rehash under each other — controllers take this lock around
-     * every runtime persisted-image access. The classic single-queue
-     * kernel takes it too (uncontended) rather than branch per access.
+     * granularity within the same line tables, and a drain that
+     * touches a new page or directory chunk allocates it, mutating
+     * the directory under any concurrent lookup — controllers take
+     * this lock around every runtime persisted-image access. The
+     * classic single-queue kernel takes it too (uncontended) rather
+     * than branch per access.
      */
     std::mutex &imageMutex() const { return imgMutex; }
 
@@ -239,7 +234,8 @@ class NvmDevice
      *  those disjoint writes into a data race. */
     std::vector<std::uint8_t> lastWasWrite;
 
-    std::unordered_map<Addr, LineData> livePlain;
+    /** Live plaintext view, keyed by address / lineBytes. */
+    LineTable<LineData> livePlain;
 
     /** Everything that survives a power failure (paper section 2.2.2). */
     PersistImage persisted;

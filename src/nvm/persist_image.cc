@@ -7,6 +7,31 @@
 namespace cnvm
 {
 
+namespace
+{
+
+/** Table key of a line-aligned address. */
+std::uint64_t
+lineKey(Addr line_addr)
+{
+    return line_addr / lineBytes;
+}
+
+/** Ascending addresses of every record in @p table. */
+template <typename T>
+std::vector<Addr>
+addrsOf(const LineTable<T> &table)
+{
+    std::vector<Addr> addrs;
+    addrs.reserve(table.size());
+    table.forEach([&addrs](std::uint64_t key, const T &) {
+        addrs.push_back(key * lineBytes);
+    });
+    return addrs;
+}
+
+} // anonymous namespace
+
 void
 PersistImage::drainData(Addr line_addr, const LineData &ciphertext,
                         std::uint64_t cipher_counter)
@@ -15,68 +40,60 @@ PersistImage::drainData(Addr line_addr, const LineData &ciphertext,
     // Record the superseded triple before overwriting: a persistence-
     // based replay attack needs a *complete* stale (cipher, counter,
     // MAC) snapshot, and this is the only moment it exists. The MAC
-    // drained with the old burst is still in macStore here — drainMac()
-    // for the new burst only lands after drainData().
-    auto it = cipherImage.find(line_addr);
-    if (it != cipherImage.end()) {
-        auto cc = cipherCounterOf.find(line_addr);
-        const std::uint64_t prev =
-            cc == cipherCounterOf.end() ? 0 : cc->second;
-        if (prev != cipher_counter) {
-            StaleTriple &stale = staleTriples[line_addr];
-            stale.cipher = it->second;
-            stale.counter = prev;
-            auto mac = macStore.find(line_addr);
-            stale.hasMac = mac != macStore.end();
-            stale.mac = stale.hasMac ? mac->second : 0;
-        }
-    }
-    cipherImage[line_addr] = ciphertext;
-    cipherCounterOf[line_addr] = cipher_counter;
+    // drained with the old burst is still in the record here —
+    // drainMac() for the new burst only lands after drainData().
+    auto [line, inserted] = dataLines.tryEmplace(lineKey(line_addr));
+    if (!inserted && line.counter != cipher_counter)
+        staleTriples[lineKey(line_addr)] = line;
+    line.cipher = ciphertext;
+    line.counter = cipher_counter;
 }
 
 void
 PersistImage::drainCounters(Addr ctr_line_addr, const CounterLine &values)
 {
     cnvm_assert(isLineAligned(ctr_line_addr));
-    counterStore[ctr_line_addr] = values;
+    counterStore[lineKey(ctr_line_addr)] = values;
 }
 
 const LineData *
 PersistImage::persistedLine(Addr line_addr) const
 {
-    auto it = cipherImage.find(line_addr);
-    return it == cipherImage.end() ? nullptr : &it->second;
+    const LineRecord *line = dataLines.find(lineKey(line_addr));
+    return line == nullptr ? nullptr : &line->cipher;
 }
 
 CounterLine
 PersistImage::persistedCounters(Addr ctr_line_addr) const
 {
-    auto it = counterStore.find(ctr_line_addr);
-    if (it == counterStore.end())
-        return CounterLine{};
-    return it->second;
+    const CounterLine *values = counterStore.find(lineKey(ctr_line_addr));
+    return values == nullptr ? CounterLine{} : *values;
 }
 
 std::uint64_t
 PersistImage::persistedCipherCounter(Addr line_addr) const
 {
-    auto it = cipherCounterOf.find(line_addr);
-    return it == cipherCounterOf.end() ? 0 : it->second;
+    const LineRecord *line = dataLines.find(lineKey(line_addr));
+    return line == nullptr ? 0 : line->counter;
 }
 
 void
 PersistImage::drainMac(Addr line_addr, std::uint64_t mac)
 {
     cnvm_assert(isLineAligned(line_addr));
-    macStore[line_addr] = mac;
+    // The MAC rides the line's own write burst, so the line is
+    // already in the image.
+    LineRecord *line = dataLines.find(lineKey(line_addr));
+    cnvm_assert(line != nullptr);
+    line->mac = mac;
+    line->hasMac = true;
 }
 
 const std::uint64_t *
 PersistImage::persistedMac(Addr line_addr) const
 {
-    auto it = macStore.find(line_addr);
-    return it == macStore.end() ? nullptr : &it->second;
+    const LineRecord *line = dataLines.find(lineKey(line_addr));
+    return line == nullptr || !line->hasMac ? nullptr : &line->mac;
 }
 
 void
@@ -121,9 +138,9 @@ PersistImage::persistedTreeLeafIndices() const
 void
 PersistImage::corruptDataLine(Addr line_addr, const LineData &corrupted)
 {
-    auto it = cipherImage.find(line_addr);
-    cnvm_assert(it != cipherImage.end());
-    it->second = corrupted;
+    LineRecord *line = dataLines.find(lineKey(line_addr));
+    cnvm_assert(line != nullptr);
+    line->cipher = corrupted;
     faulted.insert(line_addr);
 }
 
@@ -132,7 +149,7 @@ PersistImage::corruptCounterSlot(Addr ctr_line_addr, unsigned slot,
                                  std::uint64_t value, Addr data_line_addr)
 {
     cnvm_assert(slot < countersPerLine);
-    counterStore[ctr_line_addr][slot] = value;
+    counterStore[lineKey(ctr_line_addr)][slot] = value;
     faulted.insert(data_line_addr);
 }
 
@@ -153,24 +170,16 @@ PersistImage::replayLine(Addr line_addr, Addr ctr_line_addr,
                          unsigned slot)
 {
     cnvm_assert(slot < countersPerLine);
-    auto it = staleTriples.find(line_addr);
-    if (it == staleTriples.end())
+    const LineRecord *stale = staleTriples.find(lineKey(line_addr));
+    if (stale == nullptr)
         return false;
-    auto cs = counterStore.find(ctr_line_addr);
-    const std::uint64_t stored =
-        cs == counterStore.end() ? 0 : cs->second[slot];
     // A "replay" to the value already stored would change nothing —
     // undetectable because there is nothing to detect. Skip it so the
     // replayed ground truth only marks lines that really rolled back.
-    if (it->second.counter == stored)
+    if (stale->counter == persistedCounters(ctr_line_addr)[slot])
         return false;
-    cipherImage[line_addr] = it->second.cipher;
-    cipherCounterOf[line_addr] = it->second.counter;
-    if (it->second.hasMac)
-        macStore[line_addr] = it->second.mac;
-    else
-        macStore.erase(line_addr);
-    counterStore[ctr_line_addr][slot] = it->second.counter;
+    dataLines[lineKey(line_addr)] = *stale;
+    counterStore[lineKey(ctr_line_addr)][slot] = stale->counter;
     replayed.insert(line_addr);
     return true;
 }
@@ -178,34 +187,19 @@ PersistImage::replayLine(Addr line_addr, Addr ctr_line_addr,
 std::vector<Addr>
 PersistImage::replayableLineAddrs() const
 {
-    std::vector<Addr> addrs;
-    addrs.reserve(staleTriples.size());
-    for (const auto &[addr, stale] : staleTriples)
-        addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
-    return addrs;
+    return addrsOf(staleTriples);
 }
 
 std::vector<Addr>
 PersistImage::dataLineAddrs() const
 {
-    std::vector<Addr> addrs;
-    addrs.reserve(cipherImage.size());
-    for (const auto &[addr, line] : cipherImage)
-        addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
-    return addrs;
+    return addrsOf(dataLines);
 }
 
 std::vector<Addr>
 PersistImage::counterLineAddrs() const
 {
-    std::vector<Addr> addrs;
-    addrs.reserve(counterStore.size());
-    for (const auto &[addr, values] : counterStore)
-        addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
-    return addrs;
+    return addrsOf(counterStore);
 }
 
 } // namespace cnvm

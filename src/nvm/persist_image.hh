@@ -7,7 +7,7 @@
  * discards every volatile structure; what recovery works from is
  * exactly the persisted ciphertext image, the persisted counter store,
  * and (simulator-only) the ground-truth record of which counter each
- * ciphertext was encrypted with. PersistImage bundles those three maps
+ * ciphertext was encrypted with. PersistImage bundles that state
  * behind the PersistSource interface that the recovery engine and the
  * crash oracle consume, so the same classification code runs against
  * the live device after an in-place crash *and* against a PersistFork
@@ -23,6 +23,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/line_table.hh"
 #include "common/types.hh"
 
 namespace cnvm
@@ -104,10 +105,12 @@ class PersistSource
 
 /**
  * The state that survives a power failure: ciphertext image, counter
- * store, and the oracle's cipher-counter record. Copyable — the maps
- * hold only lines ever drained, so a copy is sparse in the region
- * size: its cost scales with the touched footprint, not the address
- * space.
+ * store, and the oracle's cipher-counter record. Each data line's
+ * ciphertext, cipher counter and MAC live in one record of a paged
+ * LineTable, and the counter store is a second table, both keyed by
+ * line index. Copyable — the tables hold pages only where lines were
+ * drained, so a copy's cost scales with the touched footprint, not
+ * the address space.
  */
 class PersistImage final : public PersistSource
 {
@@ -213,19 +216,16 @@ class PersistImage final : public PersistSource
     std::size_t replayedLineCount() const { return replayed.size(); }
 
     /**
-     * The whole persisted counter store. The controller's crash path
-     * models recovery's counter-region scan with it, rebuilding the
-     * encryption engine's volatile counter registers from persistent
-     * state only.
+     * The whole persisted counter store, keyed by counter-line address
+     * / lineBytes. The controller's crash path models recovery's
+     * counter-region scan with it, rebuilding the encryption engine's
+     * volatile counter registers from persistent state only.
      */
-    const std::unordered_map<Addr, CounterLine> &
-    counterLines() const
-    {
-        return counterStore;
-    }
+    const LineTable<CounterLine> &counterLines() const
+    { return counterStore; }
 
     /** Number of distinct lines present in the persisted image. */
-    std::size_t lineCount() const { return cipherImage.size(); }
+    std::size_t lineCount() const { return dataLines.size(); }
 
     /** Number of data lines an injected fault corrupted. */
     std::size_t faultedLineCount() const { return faulted.size(); }
@@ -249,18 +249,23 @@ class PersistImage final : public PersistSource
 
     /**
      * Every persisted data-line address, sorted. The fault model draws
-     * victims from this list — hash-map iteration order would make
-     * fault placement differ between otherwise identical sweeps.
+     * victims from this list, so fault placement is a function of the
+     * image alone.
      */
     std::vector<Addr> dataLineAddrs() const;
 
   private:
-    /** The triple a data line held before its last overwrite at a new
-     *  counter — the replay attack's raw material. */
-    struct StaleTriple
+    /** One persisted data line: the (ciphertext, counter, MAC) triple.
+     *  Also the shape of a stale triple — what a line held before its
+     *  last overwrite at a new counter, the replay attack's raw
+     *  material. */
+    struct LineRecord
     {
         LineData cipher{};
+        /** Counter the ciphertext was encrypted with (oracle ground
+         *  truth, not an architectural structure). */
         std::uint64_t counter = 0;
+        /** Integrity MAC (ECC spare bits), valid iff hasMac. */
         std::uint64_t mac = 0;
         bool hasMac = false;
     };
@@ -272,15 +277,11 @@ class PersistImage final : public PersistSource
         return (static_cast<std::uint64_t>(level) << 32) | index;
     }
 
-    std::unordered_map<Addr, LineData> cipherImage;
-    std::unordered_map<Addr, CounterLine> counterStore;
+    /** Persisted data lines, keyed by address / lineBytes. */
+    LineTable<LineRecord> dataLines;
 
-    /** Counter each persisted ciphertext was encrypted with (oracle
-     *  ground truth, not an architectural structure). */
-    std::unordered_map<Addr, std::uint64_t> cipherCounterOf;
-
-    /** Per-line integrity MACs (ECC spare bits), when enabled. */
-    std::unordered_map<Addr, std::uint64_t> macStore;
+    /** Persisted counter lines, keyed by address / lineBytes. */
+    LineTable<CounterLine> counterStore;
 
     /** Persisted integrity-tree nodes, keyed by treeKey(). */
     std::unordered_map<std::uint64_t, std::uint64_t> treeStore;
@@ -292,8 +293,9 @@ class PersistImage final : public PersistSource
     /** Data lines corrupted by injected faults (oracle ground truth). */
     std::unordered_set<Addr> faulted;
 
-    /** Last superseded triple per overwritten line (attack surface). */
-    std::unordered_map<Addr, StaleTriple> staleTriples;
+    /** Last superseded triple per overwritten line (attack surface),
+     *  keyed by address / lineBytes. */
+    LineTable<LineRecord> staleTriples;
 
     /** Data lines an injected replay rolled back (oracle ground
      *  truth — recovery code must never consult it). */

@@ -36,6 +36,13 @@ cmake --build "$build" -j "$(nproc)"
 
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
+# The paged line tables hold every persisted line, the live view, the
+# counter registers and recovery's cache: a slot index off by one or a
+# page freed under a live reference would hide there. ctest above ran
+# line_table_test already; run it on its own too so its result is
+# visible in the log.
+"$build/tests/line_table_test"
+
 # CLI usage contract: every tool prints usage and exits 0 on --help,
 # and prints usage to stderr and exits 2 on an unknown flag.
 for tool in cnvm_sim cnvm_crash_sweep cnvm_soak cnvm_bench; do
@@ -170,6 +177,12 @@ cmake --build "$tsan" -j "$(nproc)" \
 "$tsan/tools/cnvm_crash_sweep" --points 6 --recovery-crashes 10 \
     --jobs 4 --recovery-jobs 4 --faults --integrity \
     --design SCA --design Unsafe
+# LineTable under TSan: several threads look up and iterate one shared
+# table, which is what pre-scan workers do to the persisted image — a
+# const lookup that mutated anything (a cursor, a lazily built
+# directory) races here.
+cmake --build "$tsan" -j "$(nproc)" --target line_table_test
+"$tsan/tests/line_table_test"
 # Replay-dosed parallel pre-scan under TSan: shards produce quarantine
 # AND replay verdicts concurrently against the shared tree nodes; the
 # quarantine-race regression test pins the same path at unit scale.
