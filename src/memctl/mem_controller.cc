@@ -17,8 +17,7 @@ namespace
 /**
  * Stat-name prefix for a channel. Every channel — including channel 0 —
  * uses the canonical "memctl.chN." form, so bench/tool parsers handle
- * all channels uniformly; the constructor registers the legacy flat
- * "memctl." names as lookup aliases for channel 0.
+ * all channels uniformly.
  */
 std::string
 ctlStatPrefix(const MemCtlConfig &cfg)
@@ -120,12 +119,6 @@ MemController::MemController(EventQueue &eq, NvmDevice &nvm,
         registry->registerStat(treeCoalesces);
         registry->registerStat(treeNodeWrites);
         registry->registerStat(treeFlushes);
-        // Channel 0 historically dumped flat "memctl." / "ctrcache."
-        // names; keep them resolvable (find/lookup only, not dumped).
-        if (cfg.channelId == 0) {
-            registry->aliasPrefix("memctl.ch0.", "memctl.");
-            registry->aliasPrefix("ctrcache.ch0.", "ctrcache.");
-        }
     }
 }
 
@@ -766,7 +759,7 @@ MemController::landDataWrite(const WriteReq &req, std::uint64_t counter,
     } else {
         dataQ.push_back(DataEntry{});
         entry = &dataQ.back();
-        entry->seq = sequencer->acquire(eventq.curTick());
+        entry->seq = sequencer->acquire();
         entry->addr = req.addr;
         entry->cipher = cipher;
         entry->counter = counter;
@@ -851,7 +844,7 @@ MemController::enqueueCtrValues(Addr ctr_addr, const CounterLine &values,
     }
 
     CtrEntry entry;
-    entry.seq = sequencer->acquire(eventq.curTick());
+    entry.seq = sequencer->acquire();
     entry.addr = ctr_addr;
     entry.values = values;
     entry.ready = true;

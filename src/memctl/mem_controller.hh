@@ -93,8 +93,7 @@ struct MemCtlConfig
      * Multi-channel identity: how many channels shard the address
      * space, and which shard this controller owns. Every channel
      * registers under the canonical "memctl.chN.*" / "ctrcache.chN.*"
-     * names; channel 0 additionally registers the legacy flat names
-     * ("memctl.*", "ctrcache.*") as lookup aliases.
+     * names.
      */
     unsigned numChannels = 1;
     unsigned channelId = 0;

@@ -164,15 +164,13 @@ class NvmDevice
     }
 
     /**
-     * Guards the persisted image under the partitioned kernel, where
-     * per-channel controller threads drain into the shared device
-     * concurrently. Lines interleave across channels at block
-     * granularity within the same line tables, and a drain that
-     * touches a new page or directory chunk allocates it, mutating
-     * the directory under any concurrent lookup — controllers take
-     * this lock around every runtime persisted-image access. The
-     * classic single-queue kernel takes it too (uncontended) rather
-     * than branch per access.
+     * Guards the persisted image against concurrent access. Lines
+     * interleave across channels at block granularity within the same
+     * line tables, and a drain that touches a new page or directory
+     * chunk allocates it, mutating the directory under any concurrent
+     * lookup — controllers take this lock around every runtime
+     * persisted-image access. The event loop is single-threaded, so
+     * the lock is always uncontended today.
      */
     std::mutex &imageMutex() const { return imgMutex; }
 

@@ -63,13 +63,11 @@ class Stat
  * behavior. value() (and hence dump()) still reports the combined
  * double, so the text format is unchanged.
  *
- * The integer half is a relaxed atomic: the partitioned kernel
- * (--sim-jobs) increments shared-device counters (e.g. the NVM byte
- * totals) from per-channel worker threads. Integer addition commutes,
- * so the final counts are independent of host interleaving — reads
- * happen either single-threaded or at barriers where workers are
- * quiescent. Fractional adds stay non-atomic; they only occur on
- * coordinator-owned stats.
+ * The integer half is a relaxed atomic, so whole-number increments
+ * from several host threads cannot lose counts; integer addition
+ * commutes, so the totals never depend on interleaving. The event
+ * loop is single-threaded, so nothing contends for it today.
+ * Fractional adds stay non-atomic.
  */
 class Scalar : public Stat
 {
@@ -201,24 +199,6 @@ class StatRegistry
   public:
     /** Adds a stat; the name must be unique within the registry. */
     void registerStat(Stat &stat);
-
-    /**
-     * Registers @p alias as an alternate lookup name for an
-     * already-registered stat named @p target. Aliases resolve through
-     * find()/lookup() but never appear in dump() or all() — dumps show
-     * canonical names only.
-     */
-    void registerAlias(const std::string &alias, const std::string &target);
-
-    /**
-     * Registers a legacy-prefix alias for every stat whose canonical
-     * name starts with @p canonical_prefix: the prefix is rewritten to
-     * @p alias_prefix. Used to keep the historical flat channel-0 stat
-     * names (e.g. "memctl.data_inserts") resolvable now that dumps use
-     * the uniform "memctl.ch0." form.
-     */
-    void aliasPrefix(const std::string &canonical_prefix,
-                     const std::string &alias_prefix);
 
     /** Finds a stat by exact name; returns nullptr if absent. */
     const Stat *find(const std::string &name) const;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -290,6 +291,24 @@ TEST(ChannelShardedCache, IndexShiftRecoversStrandedSets)
     CounterCache sharded(size, assoc, nullptr, "cc_shard.", 2);
     EXPECT_EQ(fill(aliased), 16u); // 4 reachable sets x 4 ways
     EXPECT_EQ(fill(sharded), 32u);
+}
+
+TEST(ChannelStatNames, ChannelZeroIsCanonicalOnly)
+{
+    // Channel 0 registers under `memctl.ch0.` like every other channel;
+    // the historical flat names are gone from lookup and dump alike.
+    System sys(channelConfig(1, 1, 10));
+    sys.run();
+
+    stats::StatRegistry &reg = sys.statsRegistry();
+    EXPECT_NE(reg.find("memctl.ch0.data_inserts"), nullptr);
+    EXPECT_EQ(reg.find("memctl.data_inserts"), nullptr);
+
+    std::ostringstream os;
+    reg.dump(os);
+    EXPECT_NE(os.str().find("\nmemctl.ch0.data_inserts "),
+              std::string::npos);
+    EXPECT_EQ(os.str().find("\nmemctl.data_inserts"), std::string::npos);
 }
 
 TEST(RegionLayout, StaggeredRegionOverflowingCounterSpaceFailsLoudly)

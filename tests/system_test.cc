@@ -205,7 +205,7 @@ TEST(System, StatsRegistryPopulated)
     sys.run();
     auto &reg = sys.statsRegistry();
     EXPECT_NE(reg.find("nvm.bytes_written"), nullptr);
-    EXPECT_NE(reg.find("memctl.data_inserts"), nullptr);
+    EXPECT_NE(reg.find("memctl.ch0.data_inserts"), nullptr);
     EXPECT_NE(reg.find("core0.loads"), nullptr);
     EXPECT_GT(reg.lookup("core0.loads"), 0.0);
     EXPECT_GT(reg.lookup("core0.fences"), 0.0);

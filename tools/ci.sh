@@ -198,17 +198,6 @@ cmake --build "$tsan" -j "$(nproc)" --target integrity_tree_test
 # races here.
 "$tsan/tools/cnvm_crash_sweep" --points 8 --channels 4 --jobs 4 \
     --mode fork --faults --integrity-tree --design SCA --design Unsafe
-# Partitioned-kernel simulation under TSan: channel event queues run
-# on pinned crew threads between window barriers, draining into the
-# shared NVM device (atomic stats, image mutex) while the coordinator
-# owns the front-end. A plain multi-channel run first, then a dosed
-# sweep whose every point is itself a partitioned multi-threaded
-# simulation nested under the pooled Execute phase.
-cmake --build "$tsan" -j "$(nproc)" --target cnvm_sim_cli
-"$tsan/tools/cnvm_sim" --design SCA --txns 25 --footprint-mb 1 \
-    --channels 4 --sim-jobs 4 --crash-at-frac 0.5 --verify --quiet
-"$tsan/tools/cnvm_crash_sweep" --points 8 --channels 4 --sim-jobs 2 \
-    --jobs 2 --faults --integrity-tree --design SCA --design Unsafe
 # Crash-chain soak under TSan: parallel chains run whole
 # crash → recover → resume lifecycles on worker threads, each chain
 # repeatedly tearing down a System and re-seeding the next incarnation

@@ -96,7 +96,7 @@ parsePowerOfTwo(const char *flag, const char *text, UsageFn &&usage)
 }
 
 /** @p text as a positive integer in [1, @p max_value]; for knobs like
- *  --sim-jobs where an absurd value is a typo (or a fork bomb), not a
+ *  --cycles where an absurd value is a typo (or a runaway run), not a
  *  request — 0 and over-bound are usage errors. */
 template <typename UsageFn>
 unsigned
