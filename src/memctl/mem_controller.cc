@@ -218,87 +218,31 @@ MemController::unindexCtrEntry(CtrIter it)
 MemController::DataIter
 MemController::locateDataEntry(std::uint64_t seq)
 {
-    if (cfg.useQueueIndex) {
-        auto map_it = dataBySeq.find(seq);
-        DataIter found =
-            map_it == dataBySeq.end() ? dataQ.end() : map_it->second;
-#ifndef NDEBUG
-        DataIter ref = dataQ.begin();
-        while (ref != dataQ.end() && ref->seq != seq)
-            ++ref;
-        cnvm_assert(found == ref);
-#endif
-        return found;
-    }
-    for (DataIter it = dataQ.begin(); it != dataQ.end(); ++it) {
-        if (it->seq == seq)
-            return it;
-    }
-    return dataQ.end();
+    auto map_it = dataBySeq.find(seq);
+    return map_it == dataBySeq.end() ? dataQ.end() : map_it->second;
 }
 
 MemController::CtrIter
 MemController::locateCtrEntry(std::uint64_t seq)
 {
-    if (cfg.useQueueIndex) {
-        auto map_it = ctrBySeq.find(seq);
-        CtrIter found =
-            map_it == ctrBySeq.end() ? ctrQ.end() : map_it->second;
-#ifndef NDEBUG
-        CtrIter ref = ctrQ.begin();
-        while (ref != ctrQ.end() && ref->seq != seq)
-            ++ref;
-        cnvm_assert(found == ref);
-#endif
-        return found;
-    }
-    for (CtrIter it = ctrQ.begin(); it != ctrQ.end(); ++it) {
-        if (it->seq == seq)
-            return it;
-    }
-    return ctrQ.end();
+    auto map_it = ctrBySeq.find(seq);
+    return map_it == ctrBySeq.end() ? ctrQ.end() : map_it->second;
 }
 
 bool
 MemController::dataQueueHas(Addr addr) const
 {
-    if (cfg.useQueueIndex) {
-        bool found = dataByAddr.find(addr) != dataByAddr.end();
-#ifndef NDEBUG
-        bool ref = false;
-        for (const DataEntry &entry : dataQ)
-            ref = ref || entry.addr == addr;
-        cnvm_assert(found == ref);
-#endif
-        return found;
-    }
-    for (const DataEntry &entry : dataQ) {
-        if (entry.addr == addr)
-            return true;
-    }
-    return false;
+    return dataByAddr.find(addr) != dataByAddr.end();
 }
 
 bool
 MemController::ctrQueueHasIssued(Addr ctr_addr) const
 {
-    bool found = false;
-    if (cfg.useQueueIndex) {
-        auto vec_it = ctrByAddr.find(ctr_addr);
-        if (vec_it != ctrByAddr.end()) {
-            for (CtrIter it : vec_it->second)
-                found = found || it->issued;
-        }
-#ifndef NDEBUG
-        bool ref = false;
-        for (const CtrEntry &entry : ctrQ)
-            ref = ref || (entry.issued && entry.addr == ctr_addr);
-        cnvm_assert(found == ref);
-#endif
-        return found;
-    }
-    for (const CtrEntry &entry : ctrQ) {
-        if (entry.issued && entry.addr == ctr_addr)
+    auto vec_it = ctrByAddr.find(ctr_addr);
+    if (vec_it == ctrByAddr.end())
+        return false;
+    for (CtrIter it : vec_it->second) {
+        if (it->issued)
             return true;
     }
     return false;
@@ -307,7 +251,6 @@ MemController::ctrQueueHasIssued(Addr ctr_addr) const
 void
 MemController::verifyIndexes() const
 {
-#ifndef NDEBUG
     cnvm_assert(dataBySeq.size() == dataQ.size());
     cnvm_assert(ctrBySeq.size() == ctrQ.size());
     std::unordered_map<Addr, std::size_t> cursor;
@@ -338,7 +281,6 @@ MemController::verifyIndexes() const
     }
     for (const auto &[addr, vec] : ctrByAddr)
         cnvm_assert(cursor[addr] == vec.size());
-#endif
 }
 
 CounterLine
@@ -351,22 +293,12 @@ MemController::memoryViewCounters(Addr ctr_addr) const
     }
     // Pending counter-queue entries and not-yet-queued evictions are
     // newer than the image; counters only grow, so merging by max
-    // yields the youngest value per slot (and makes the merge order
-    // irrelevant, which is why the indexed path can skip the scan).
-    if (cfg.useQueueIndex) {
-        auto vec_it = ctrByAddr.find(ctr_addr);
-        if (vec_it != ctrByAddr.end()) {
-            for (CtrIter it : vec_it->second) {
-                for (unsigned s = 0; s < countersPerLine; ++s)
-                    values[s] = std::max(values[s], it->values[s]);
-            }
-        }
-    } else {
-        for (const CtrEntry &entry : ctrQ) {
-            if (entry.addr != ctr_addr)
-                continue;
+    // yields the youngest value per slot whatever the merge order.
+    auto vec_it = ctrByAddr.find(ctr_addr);
+    if (vec_it != ctrByAddr.end()) {
+        for (CtrIter it : vec_it->second) {
             for (unsigned s = 0; s < countersPerLine; ++s)
-                values[s] = std::max(values[s], entry.values[s]);
+                values[s] = std::max(values[s], it->values[s]);
         }
     }
     for (const CounterEviction &ev : pendingCcEvictions) {
@@ -560,32 +492,12 @@ MemController::writesIdle() const
 MemController::CtrEntry *
 MemController::findUnissuedCtr(Addr ctr_addr)
 {
-    if (cfg.useQueueIndex) {
-        CtrEntry *found = nullptr;
-        auto vec_it = ctrByAddr.find(ctr_addr);
-        if (vec_it != ctrByAddr.end()) {
-            for (CtrIter it : vec_it->second) {
-                if (!it->issued) {
-                    found = &*it;
-                    break;
-                }
-            }
-        }
-#ifndef NDEBUG
-        CtrEntry *ref = nullptr;
-        for (CtrEntry &entry : ctrQ) {
-            if (!entry.issued && entry.addr == ctr_addr) {
-                ref = &entry;
-                break;
-            }
-        }
-        cnvm_assert(found == ref);
-#endif
-        return found;
-    }
-    for (CtrEntry &entry : ctrQ) {
-        if (!entry.issued && entry.addr == ctr_addr)
-            return &entry;
+    auto vec_it = ctrByAddr.find(ctr_addr);
+    if (vec_it == ctrByAddr.end())
+        return nullptr;
+    for (CtrIter it : vec_it->second) {
+        if (!it->issued)
+            return &*it;
     }
     return nullptr;
 }
@@ -593,32 +505,12 @@ MemController::findUnissuedCtr(Addr ctr_addr)
 MemController::DataEntry *
 MemController::findUnissuedData(Addr addr)
 {
-    if (cfg.useQueueIndex) {
-        DataEntry *found = nullptr;
-        auto vec_it = dataByAddr.find(addr);
-        if (vec_it != dataByAddr.end()) {
-            for (DataIter it : vec_it->second) {
-                if (!it->issued) {
-                    found = &*it;
-                    break;
-                }
-            }
-        }
-#ifndef NDEBUG
-        DataEntry *ref = nullptr;
-        for (DataEntry &entry : dataQ) {
-            if (!entry.issued && entry.addr == addr) {
-                ref = &entry;
-                break;
-            }
-        }
-        cnvm_assert(found == ref);
-#endif
-        return found;
-    }
-    for (DataEntry &entry : dataQ) {
-        if (!entry.issued && entry.addr == addr)
-            return &entry;
+    auto vec_it = dataByAddr.find(addr);
+    if (vec_it == dataByAddr.end())
+        return nullptr;
+    for (DataIter it : vec_it->second) {
+        if (!it->issued)
+            return &*it;
     }
     return nullptr;
 }
@@ -825,7 +717,6 @@ MemController::landDataWrite(const WriteReq &req, std::uint64_t counter,
         }
     }
     scheduleDrainKick();
-    verifyIndexes();
     return true;
 }
 
@@ -1376,7 +1267,6 @@ MemController::completeDataDrain(std::uint64_t seq)
         persistDataEntry(*it);
         unindexDataEntry(it);
         dataQ.erase(it);
-        verifyIndexes();
     }
     cnvm_assert(inflightWrites > 0);
     --inflightWrites;
@@ -1405,7 +1295,6 @@ MemController::completeCtrDrain(std::uint64_t seq)
         noteCounterPersist(it->addr);
         unindexCtrEntry(it);
         ctrQ.erase(it);
-        verifyIndexes();
     }
     cnvm_assert(inflightWrites > 0);
     --inflightWrites;

@@ -130,15 +130,6 @@ struct MemCtlConfig
     bool writeCombining = true;
 
     /**
-     * Selects the O(1)/O(log n) indexed lookups over the write queues
-     * (address and sequence maps) instead of the reference linear
-     * scans. Both paths are maintained and must be observably
-     * identical; the reference path exists for the bench harness to
-     * prove it (and as the arbiter when the debug cross-check fires).
-     */
-    bool useQueueIndex = true;
-
-    /**
      * Per-line integrity metadata: a truncated MAC over (address,
      * counter, ciphertext) persisted in the line's ECC spare bits
      * atomically with its write burst, so it adds no bus traffic and
@@ -375,6 +366,9 @@ class MemController : public MemBackend
     stats::Scalar treeFlushes;
 
   private:
+    /** queue_index_test's window onto the queues and their lookups. */
+    friend class MemControllerTestPeer;
+
     struct DataEntry
     {
         std::uint64_t seq;
@@ -425,9 +419,9 @@ class MemController : public MemBackend
      * pair blocking, drain completion — were linear scans over the
      * queues; these maps make them O(1) in the queue depth. The
      * per-address vectors hold iterators in insertion (age) order, so
-     * "first unissued entry for this address" keeps its meaning. The
-     * maps are maintained unconditionally; cfg.useQueueIndex only
-     * selects which lookup algorithm answers queries.
+     * "first unissued entry for this address" keeps its meaning.
+     * queue_index_test checks every lookup against a linear scan of
+     * the queues.
      */
     std::unordered_map<std::uint64_t, DataIter> dataBySeq;
     std::unordered_map<std::uint64_t, CtrIter> ctrBySeq;
@@ -518,7 +512,7 @@ class MemController : public MemBackend
     CtrIter locateCtrEntry(std::uint64_t seq);
     bool dataQueueHas(Addr addr) const;
     bool ctrQueueHasIssued(Addr ctr_addr) const;
-    /** Debug-build invariant: indexes mirror the queues exactly. */
+    /** Asserts that the indexes mirror the queues exactly. */
     void verifyIndexes() const;
 
     // --- write path helpers ---

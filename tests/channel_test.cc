@@ -236,6 +236,29 @@ TEST(MultiChannel, FingerprintIdenticalAcrossJobsAndModes)
     EXPECT_NE(per_channel[1], per_channel[2]);
 }
 
+TEST(MultiChannel, MemoryBoundThroughputDoesNotFallWithChannels)
+{
+    // More channels put more banks and busses in flight, so a
+    // memory-bound contended SCA run must not lose simulated
+    // throughput as channels are added (4 cores: 1 -> 4 channels;
+    // 16 cores: 1 -> 8 channels).
+    auto txn_rate = [](unsigned cores, unsigned channels) {
+        SystemConfig cfg;
+        cfg.design = DesignPoint::SCA;
+        cfg.workload = WorkloadKind::ArraySwap;
+        cfg.numCores = cores;
+        cfg.numChannels = channels;
+        cfg.wl.regionBytes = 2 << 20;
+        cfg.wl.txnTarget = 30;
+        cfg.wl.computePerTxn = 0; // memory-bound: contention is the point
+        System sys(cfg);
+        sys.run();
+        return sys.throughputTxnPerSec();
+    };
+    EXPECT_GE(txn_rate(4, 4), txn_rate(4, 1));
+    EXPECT_GE(txn_rate(16, 8), txn_rate(16, 1));
+}
+
 // ----------------------------------------------------------------------
 // Core-scaling bugfixes
 // ----------------------------------------------------------------------

@@ -550,5 +550,51 @@ TEST_F(MemCtlTest, QueueOccupancyDrainsToZero)
     EXPECT_EQ(ctl->ctrQueueOccupancy(), 0u);
 }
 
+// --- Figures 7/8: dependent-write serialization ---------------------------
+
+/**
+ * Simulated ns to push a burst of 8 counter-atomic writes that
+ * alternate between two lines of one counter group through a fresh
+ * controller of @p design, draining every queue.
+ */
+double
+dependentBurstNs(DesignPoint design)
+{
+    EventQueue eq;
+    NvmDevice nvm(NvmTiming::pcm(), nullptr);
+    MemCtlConfig cfg;
+    cfg.design = design;
+    MemController ctl(eq, nvm, cfg, nullptr);
+
+    unsigned accepted = 0;
+    for (int i = 0; i < 8; ++i) {
+        WriteReq req;
+        req.addr = 0x40000 + (i % 2) * lineBytes;
+        req.data = LineData{};
+        req.data[0] = static_cast<std::uint8_t>(i);
+        req.counterAtomic = true;
+        req.accepted = [&]() { ++accepted; };
+        while (!ctl.tryWrite(req))
+            eq.step();
+    }
+    eq.run();
+    EXPECT_EQ(accepted, 8u) << designName(design);
+    EXPECT_TRUE(ctl.writesIdle()) << designName(design);
+    return static_cast<double>(eq.curTick()) / ticksPerNs;
+}
+
+TEST(DependentWriteBurst, IdealBeatsScaBeatsFca)
+{
+    // The paper's write-queue timelines: Ideal persists counters for
+    // free; the counter-atomic designs pair every write with its
+    // shared counter line, and FCA writes that line whole where SCA
+    // writes only the touched counters.
+    double ideal = dependentBurstNs(DesignPoint::Ideal);
+    double sca = dependentBurstNs(DesignPoint::SCA);
+    double fca = dependentBurstNs(DesignPoint::FCA);
+    EXPECT_LT(ideal, sca);
+    EXPECT_LT(sca, fca);
+}
+
 } // anonymous namespace
 } // namespace cnvm

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/crash_sweep.hh"
 #include "core/recovery.hh"
 #include "core/recovery_crash.hh"
 #include "core/system.hh"
@@ -511,18 +512,18 @@ TEST_F(IntegrityRepairTest, IntactBackupRestoresQuarantinedTarget)
     EXPECT_NE(report.reason, RecoveryFailure::QuarantinedLines);
 }
 
-TEST(RecoveryParallel, ReportsIdenticalAtAnyJobCount)
+/**
+ * One design's share of the recovery determinism contract: with
+ * corruption present, recovery at --recovery-jobs 1/2/8 must produce
+ * byte-identical results — hand-dosed reports (digest included), a
+ * fault-dosed fork sweep's fingerprint, and the crash-during-recovery
+ * family's reference digests.
+ */
+void
+expectRecoveryIdenticalAtAnyJobCount(DesignPoint design)
 {
-    // The determinism contract: with corruption present, recovery at
-    // --recovery-jobs 1/2/8 must produce byte-identical reports —
-    // digest included.
-    SystemConfig cfg;
-    cfg.design = DesignPoint::SCA;
-    cfg.workload = WorkloadKind::ArraySwap;
-    cfg.wl.regionBytes = 256 << 10;
-    cfg.wl.txnTarget = 30;
-    cfg.wl.computePerTxn = 100;
-    cfg.wl.recordDigests = true;
+    SCOPED_TRACE(designName(design));
+    SystemConfig cfg = smallConfig(design, 30);
     cfg.memctl.integrityMac = true;
 
     Tick total = System(cfg).run().endTick;
@@ -559,16 +560,35 @@ TEST(RecoveryParallel, ReportsIdenticalAtAnyJobCount)
                       nvm.persistedCipherCounter(lines[1]));
     }
 
+    const unsigned jobs_of[3] = {1, 2, 8};
     std::vector<RecoveryReport> reports;
-    for (unsigned jobs : {1u, 2u, 8u}) {
+    std::vector<std::string> sweep_fps, digest_fps;
+    for (unsigned jobs : jobs_of) {
         RecoveryEngine engine(nvm, ctl);
         RecoveryOptions opt;
         opt.jobs = jobs;
         reports.push_back(engine.recover(sys.workload(0), nullptr, opt));
+
+        SweepOptions sweep;
+        sweep.points = 6;
+        sweep.mode = SweepMode::Fork;
+        sweep.faults = FaultSpec::allKinds(1);
+        sweep.recoveryJobs = jobs;
+        sweep_fps.push_back(runSweep(cfg, sweep).fingerprint());
+
+        RecoveryCrashOptions rc;
+        rc.points = 0; // references only: digest identity
+        rc.images = 4;
+        rc.faults = FaultSpec::allKinds(1);
+        rc.recoveryJobs = jobs;
+        digest_fps.push_back(runRecoveryCrashSweep(cfg, rc).fingerprint());
     }
     const RecoveryReport &ref = reports[0];
     EXPECT_GT(ref.detectedCorruptions, 0u);
+    EXPECT_FALSE(sweep_fps[0].empty());
+    EXPECT_FALSE(digest_fps[0].empty());
     for (std::size_t i = 1; i < reports.size(); ++i) {
+        SCOPED_TRACE("recovery jobs " + std::to_string(jobs_of[i]));
         const RecoveryReport &r = reports[i];
         EXPECT_EQ(r.consistent, ref.consistent);
         EXPECT_EQ(r.reason, ref.reason);
@@ -581,7 +601,16 @@ TEST(RecoveryParallel, ReportsIdenticalAtAnyJobCount)
         EXPECT_EQ(r.repairedLines, ref.repairedLines);
         EXPECT_EQ(r.unrecoverableLines, ref.unrecoverableLines);
         EXPECT_EQ(r.detail, ref.detail);
+        EXPECT_EQ(sweep_fps[i], sweep_fps[0]);
+        EXPECT_EQ(digest_fps[i], digest_fps[0]);
     }
+}
+
+TEST(RecoveryParallel, ReportsIdenticalAtAnyJobCount)
+{
+    for (DesignPoint design : {DesignPoint::ColocatedCC, DesignPoint::FCA,
+                               DesignPoint::SCA, DesignPoint::Unsafe})
+        expectRecoveryIdenticalAtAnyJobCount(design);
 }
 
 TEST(RecoveryCrash, InterruptedRecoveryConverges)

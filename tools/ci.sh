@@ -8,7 +8,8 @@
 # directions, CLI usage-contract smokes, a
 # ThreadSanitizer pass over the parallel sweep and recovery paths
 # (replay-dosed pre-scan and the 4-channel fork capture included), and
-# a Release bench smoke.
+# a Release pass: fork-mode sweep smokes plus the benchmark harness
+# selftest (perfbench/run.py --selftest).
 #
 #   tools/ci.sh [build-dir] [release-build-dir] [tsan-build-dir]
 #
@@ -45,7 +46,7 @@ ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
 # CLI usage contract: every tool prints usage and exits 0 on --help,
 # and prints usage to stderr and exits 2 on an unknown flag.
-for tool in cnvm_sim cnvm_crash_sweep cnvm_soak cnvm_bench; do
+for tool in cnvm_sim cnvm_crash_sweep cnvm_soak; do
     "$build/tools/$tool" --help > /dev/null
     if "$build/tools/$tool" --no-such-flag > /dev/null 2>&1; then
         echo "FAIL: $tool accepted an unknown flag" >&2
@@ -58,8 +59,8 @@ done
 
 # Sweep smoke with the pooled Execute phase: --jobs 4 regardless of
 # host width — the point is to exercise the parallel path, and the
-# fingerprint-identity checks in cnvm_bench and the test suite pin its
-# results to the serial reference.
+# fingerprint-identity tests in the suite (CrashSweepEndToEnd,
+# ForkSweep) pin its results to the serial reference.
 "$build/tools/cnvm_crash_sweep" --points 20 --jobs 4
 
 # Fault-injection smoke under ASan+UBSan, both gate directions: with
@@ -207,16 +208,15 @@ cmake --build "$tsan" -j "$(nproc)" --target cnvm_soak
 "$tsan/tools/cnvm_soak" --cycles 6 --chains 4 --jobs 4 \
     --faults --replays --integrity-tree --design SCA --design Unsafe
 
-# Bench smoke in Release: cnvm_bench runs each kernel a few iterations
-# and, more importantly, exits non-zero if the indexed queue lookups
-# diverge from the reference linear scans, if the parallel sweep's
-# fingerprint diverges from the serial loop's at any --jobs value, if
-# the fork-based Execute mode's fingerprint diverges from the replay
-# reference on any design, or if any kernel drops work. The fork-mode
-# sweep smoke exercises the single-pass Execute end to end in Release.
+# Release pass: the fork-mode sweep smokes exercise the single-pass
+# Execute end to end with optimization on, single- and multi-channel.
+# The benchmark harness selftest then builds perfbench/ under the
+# Release directory and runs every BENCHMARK.json workload at small
+# scale, traced and untraced, failing on any correctness check or any
+# metric missing its declared name and unit.
 cmake -B "$release" -S "$repo" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$release" -j "$(nproc)"
 "$release/tools/cnvm_crash_sweep" --points 20 --jobs 4 --mode fork
 "$release/tools/cnvm_crash_sweep" --points 20 --channels 4 --jobs 4 \
     --mode fork
-"$release/tools/cnvm_bench" --quick --repeat 1 --jobs 4
+(cd "$repo" && CARGO_TARGET_DIR="$release" python3 perfbench/run.py --selftest)

@@ -41,7 +41,6 @@
 
 #include "core/crash_sweep.hh"
 #include "core/recovery_crash.hh"
-#include "core/soak.hh"
 #include "runner/runner.hh"
 #include "tool_args.hh"
 
@@ -58,7 +57,6 @@ struct Options
     unsigned jobs = 0; //!< 0 = hardware concurrency
     unsigned recoveryJobs = 1;     //!< per-point recovery concurrency
     unsigned recoveryCrashes = 0;  //!< >0: crash-during-recovery sweep
-    unsigned soakCycles = 0;       //!< >0: crash-chain soak instead
     SweepMode mode = SweepMode::Replay;
     bool semanticTriggers = true;
     bool verbose = false;
@@ -100,13 +98,6 @@ options:
                     invalidation), re-run it, and gate on idempotence —
                     every interrupted-then-completed recovery must
                     converge to the single-shot digest and report
-  --soak N          run the crash-chain soak instead: per design, one
-                    chain of N crash→recover→resume cycles (faults
-                    dosed per the flags below, recovered image resumed
-                    as the next cycle's state) plus a final
-                    resume-and-complete integrity examination, gated on
-                    the cumulative SoakOracle invariants (max 4096; see
-                    cnvm_soak for the full-featured harness)
   --workload NAME   array | queue | hash | btree | rbtree (default array)
   --cores N         number of cores (default 1)
   --channels N      memory channels sharding the address space
@@ -194,9 +185,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--recovery-crashes") {
             opt.recoveryCrashes = toolargs::parsePositive(
                 "--recovery-crashes", need_value(i), usage);
-        } else if (arg == "--soak") {
-            opt.soakCycles = toolargs::parseBounded(
-                "--soak", need_value(i), 4096, usage);
         } else if (arg == "--mode") {
             std::string name = need_value(i);
             if (name == "replay") {
@@ -388,63 +376,6 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
     return result.mismatchPoints() >= 1;
 }
 
-/**
- * Crash-chain soak of one design (--soak): one chain of
- * crash→recover→resume cycles with the configured dose, gated on the
- * cumulative SoakOracle invariants. Positive rows must complete ok;
- * negative-control combinations (see soakChainExpectedOk) must fail —
- * loudly when undosed. cnvm_soak is the full-featured harness; this
- * mode keeps the soak reachable from the sweep tool's flag set.
- */
-bool
-soakDesign(const Options &opt, DesignPoint design)
-{
-    SystemConfig cfg = opt.cfg;
-    cfg.design = design;
-    cfg.memctl.integrityMac = opt.integrity;
-    cfg.memctl.integrityTree = opt.integrityTree;
-
-    SoakOptions soak;
-    soak.cycles = opt.soakCycles;
-    soak.recoveryJobs = opt.recoveryJobs;
-    soak.semanticTriggers = opt.semanticTriggers;
-    soak.seed = opt.cfg.wl.seed;
-    if (opt.faults)
-        soak.faults = opt.replays
-            ? FaultSpec::allKindsWithReplays(opt.faultSeed)
-            : FaultSpec::allKinds(opt.faultSeed);
-
-    SoakChainResult chain = runSoakChain(cfg, soak);
-
-    if (opt.verbose) {
-        for (const SoakCycle &c : chain.cycles)
-            std::printf("  %s\n", c.describe().c_str());
-        if (!chain.ok)
-            std::printf("  FAILED: %s\n", chain.failure.c_str());
-    }
-
-    std::printf("%-13s %7u %8u %8u %7u %7u %8llu  %s\n",
-                shortDesignName(design),
-                static_cast<unsigned>(chain.cycles.size()),
-                chain.crashedCycles(), chain.dosedCycles(),
-                chain.totalResets(), chain.silentCycles(),
-                static_cast<unsigned long long>(chain.finalQuarantined),
-                chain.ok ? "ok" : "failed");
-
-    if (opt.printFingerprint)
-        std::printf("  fingerprint(%s): %s\n", shortDesignName(design),
-                    chain.fingerprint().c_str());
-
-    bool expected_ok = soakChainExpectedOk(design, opt.integrity,
-                                           opt.integrityTree, opt.faults,
-                                           opt.replays);
-    if (expected_ok)
-        return chain.ok;
-    if (!opt.faults)
-        return !chain.ok && chain.silentCycles() == 0;
-    return !chain.ok;
-}
-
 /** Crash-during-recovery sweep of one design; true iff idempotent. */
 bool
 recrashDesign(const Options &opt, DesignPoint design, WorkPool &pool)
@@ -502,32 +433,6 @@ main(int argc, char **argv)
 
     // One pool, reused across every design's Execute phase.
     WorkPool pool(opt.jobs);
-
-    if (opt.soakCycles > 0) {
-        std::printf("crash-chain soak: %u cycle(s)/design + final exam, "
-                    "workload %s, %u core(s), seed %llu, "
-                    "%u recovery job(s)%s%s%s\n",
-                    opt.soakCycles, workloadKindName(opt.cfg.workload),
-                    opt.cfg.numCores,
-                    static_cast<unsigned long long>(opt.cfg.wl.seed),
-                    opt.recoveryJobs,
-                    opt.faults ? ", media faults" : "",
-                    opt.replays ? " + replays" : "",
-                    opt.integrityTree ? ", integrity tree"
-                        : opt.integrity ? ", integrity MACs" : "");
-        std::printf("%-13s %7s %8s %8s %7s %7s %8s\n", "design",
-                    "cycles", "crashed", "dosed", "resets", "silent",
-                    "final-q");
-        bool all_ok = true;
-        for (DesignPoint d : opt.designs) {
-            if (!soakDesign(opt, d)) {
-                all_ok = false;
-                std::printf("  ^^ %s did not behave as designed\n",
-                            shortDesignName(d));
-            }
-        }
-        return all_ok ? 0 : 1;
-    }
 
     if (opt.recoveryCrashes > 0) {
         std::printf("crash-during-recovery sweep: %u images/design, "

@@ -2,7 +2,7 @@
  * @file
  * Shared command-line argument validation for the cnvm tools.
  *
- * The three CLIs (cnvm_sim, cnvm_crash_sweep, cnvm_bench) grew their
+ * The CLIs (cnvm_sim, cnvm_crash_sweep, cnvm_soak) grew their
  * option parsers independently, and the validation drifted: one tool
  * rejected `--jobs 0` while another accepted it, and cnvm_crash_sweep
  * silently accepted `--fault-seed` without `--faults` (quietly turning
