@@ -58,8 +58,16 @@ reportPoint(const char *label, double runtime_ns, double base_ns)
 int
 main(int argc, char **argv)
 {
-    WorkloadKind workload = argc > 1 ? workloadKindFromName(argv[1])
-                                     : WorkloadKind::HashTable;
+    WorkloadKind workload = WorkloadKind::HashTable;
+    if (argc > 1) {
+        auto named = workloadKindFromName(argv[1]);
+        if (!named) {
+            std::fprintf(stderr, "unknown workload '%s' (try array, "
+                         "queue, hash, btree, rbtree)\n", argv[1]);
+            return 1;
+        }
+        workload = *named;
+    }
     SystemConfig base = baseConfig(workload);
     double base_ns = runtimeOf(base);
     std::printf("base: %s, %.1f us\n",

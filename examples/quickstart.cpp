@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/system.hh"
@@ -21,25 +22,18 @@ using namespace cnvm;
 namespace
 {
 
-DesignPoint
-parseDesign(const std::string &name)
+/** Exits 1 with a hint when an argument names no @p kind. */
+template <typename T>
+T
+orExit(std::optional<T> value, const char *kind, const char *name,
+       const char *hint)
 {
-    for (DesignPoint d : {DesignPoint::NoEncryption, DesignPoint::Ideal,
-                          DesignPoint::Colocated, DesignPoint::ColocatedCC,
-                          DesignPoint::FCA, DesignPoint::SCA,
-                          DesignPoint::Unsafe}) {
-        if (name == designName(d))
-            return d;
+    if (!value) {
+        std::fprintf(stderr, "unknown %s '%s' (try %s)\n", kind, name,
+                     hint);
+        std::exit(1);
     }
-    if (name == "Colocated")
-        return DesignPoint::Colocated;
-    if (name == "ColocatedCC")
-        return DesignPoint::ColocatedCC;
-    std::fprintf(stderr,
-                 "unknown design '%s' (try SCA, FCA, Ideal, "
-                 "NoEncryption, Colocated, ColocatedCC, Unsafe)\n",
-                 name.c_str());
-    std::exit(1);
+    return *value;
 }
 
 } // anonymous namespace
@@ -51,9 +45,15 @@ main(int argc, char **argv)
     //    Table 2: 4 GHz cores, 64 KB L1 + 2 MB L2, a 1 MB counter
     //    cache, 64/16-entry data/counter write queues, and PCM timing.
     SystemConfig cfg;
-    cfg.design = argc > 1 ? parseDesign(argv[1]) : DesignPoint::SCA;
-    cfg.workload = argc > 2 ? workloadKindFromName(argv[2])
-                            : WorkloadKind::BTree;
+    cfg.design = argc > 1
+        ? orExit(designFromName(argv[1]), "design", argv[1],
+                 "SCA, FCA, Ideal, NoEncryption, Colocated, ColocatedCC, "
+                 "Unsafe")
+        : DesignPoint::SCA;
+    cfg.workload = argc > 2
+        ? orExit(workloadKindFromName(argv[2]), "workload", argv[2],
+                 "array, queue, hash, btree, rbtree")
+        : WorkloadKind::BTree;
     cfg.wl.txnTarget = argc > 3 ? std::atoi(argv[3]) : 300;
     cfg.wl.regionBytes = 6ull << 20;
 

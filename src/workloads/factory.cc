@@ -37,7 +37,7 @@ workloadKindName(WorkloadKind kind)
     return "?";
 }
 
-WorkloadKind
+std::optional<WorkloadKind>
 workloadKindFromName(const std::string &name)
 {
     std::string lower(name);
@@ -53,8 +53,7 @@ workloadKindFromName(const std::string &name)
         return WorkloadKind::BTree;
     if (lower == "rbtree" || lower == "rb-tree")
         return WorkloadKind::RbTree;
-    cnvm_fatal("unknown workload '%s'", name.c_str());
-    return WorkloadKind::ArraySwap; // unreachable
+    return std::nullopt;
 }
 
 std::unique_ptr<Workload>

@@ -7,6 +7,7 @@
 #define CNVM_WORKLOADS_FACTORY_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,8 +32,8 @@ const std::vector<WorkloadKind> &allWorkloadKinds();
 /** Display name matching the paper ("Array", "Queue", ...). */
 const char *workloadKindName(WorkloadKind kind);
 
-/** Parses a name (case-insensitive); fatal on unknown names. */
-WorkloadKind workloadKindFromName(const std::string &name);
+/** Parses a name (case-insensitive); nullopt for an unknown name. */
+std::optional<WorkloadKind> workloadKindFromName(const std::string &name);
 
 /** Builds a workload of the given kind. */
 std::unique_ptr<Workload> makeWorkload(WorkloadKind kind,

@@ -64,6 +64,11 @@ TEST(Factory, NamesRoundTrip)
     EXPECT_EQ(workloadKindFromName("HASH"), WorkloadKind::HashTable);
     EXPECT_EQ(workloadKindFromName("b-tree"), WorkloadKind::BTree);
     EXPECT_EQ(workloadKindFromName("rbtree"), WorkloadKind::RbTree);
+    for (WorkloadKind kind : allWorkloadKinds())
+        EXPECT_EQ(workloadKindFromName(workloadKindName(kind)), kind);
+    // An unknown name is the caller's usage error, not a fatal.
+    EXPECT_EQ(workloadKindFromName("bogus"), std::nullopt);
+    EXPECT_EQ(workloadKindFromName(""), std::nullopt);
 }
 
 // --- item pattern ------------------------------------------------------------

@@ -45,7 +45,9 @@ ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 "$build/tests/line_table_test"
 
 # CLI usage contract: every tool prints usage and exits 0 on --help,
-# and prints usage to stderr and exits 2 on an unknown flag.
+# and prints usage to stderr and exits 2 on an unknown flag. Bad flag
+# values and missing prerequisites are the usage-error ctests
+# (expect_usage_error.cmake), which ctest ran above under ASan+UBSan.
 for tool in cnvm_sim cnvm_crash_sweep cnvm_soak; do
     "$build/tools/$tool" --help > /dev/null
     if "$build/tools/$tool" --no-such-flag > /dev/null 2>&1; then
@@ -101,30 +103,6 @@ done
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 "$build/tools/cnvm_soak" --cycles 8 --faults \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
-
-# The unified argument checker: a tuning flag without its prerequisite
-# is a usage error (exit 2), not a silent enable.
-if "$build/tools/cnvm_crash_sweep" --points 10 --fault-seed 5 \
-        > /dev/null 2>&1; then
-    echo "FAIL: cnvm_crash_sweep accepted --fault-seed without --faults" >&2
-    exit 1
-elif [ $? -ne 2 ]; then
-    echo "FAIL: --fault-seed without --faults should exit 2" >&2
-    exit 1
-fi
-
-# ... and the channel count is an address mask, so a non-power-of-two
-# is a usage error (exit 2), never a silently degenerate interleave.
-for bad in 0 3; do
-    if "$build/tools/cnvm_crash_sweep" --points 10 --channels "$bad" \
-            > /dev/null 2>&1; then
-        echo "FAIL: cnvm_crash_sweep accepted --channels $bad" >&2
-        exit 1
-    elif [ $? -ne 2 ]; then
-        echo "FAIL: --channels $bad should exit 2" >&2
-        exit 1
-    fi
-done
 
 # Multi-channel sweep under ASan+UBSan: the sharded controllers, the
 # global ADR cut at crash capture, and the root-persists-last tree

@@ -35,7 +35,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -49,6 +48,8 @@ using namespace cnvm;
 namespace
 {
 
+using toolargs::shortDesignName;
+
 struct Options
 {
     SystemConfig cfg;
@@ -61,12 +62,10 @@ struct Options
     bool semanticTriggers = true;
     bool verbose = false;
     bool printFingerprint = false;
-    bool faults = false;
-    bool replays = false;
-    bool integrity = false;
-    bool integrityTree = false;
-    bool faultSeedSet = false;
-    std::uint64_t faultSeed = 1;
+    toolargs::FaultFlags fault;
+
+    bool integrity() const { return cfg.memctl.integrityMac; }
+    bool integrityTree() const { return cfg.memctl.integrityTree; }
 };
 
 [[noreturn]] void
@@ -135,16 +134,6 @@ options:
     std::exit(code);
 }
 
-const char *
-shortDesignName(DesignPoint d)
-{
-    switch (d) {
-      case DesignPoint::Colocated: return "Colocated";
-      case DesignPoint::ColocatedCC: return "ColocatedCC";
-      default: return designName(d);
-    }
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
@@ -156,37 +145,24 @@ parseArgs(int argc, char **argv)
     opt.cfg.wl.setupFill = 0.3;
     opt.cfg.memctl.counterCacheBytes = 16u << 10;
 
-    auto need_value = [&](int &i) -> const char * {
-        return toolargs::needValue(argc, argv, i, usage);
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
+    toolargs::ArgReader a(argc, argv, usage);
+    while (a.next()) {
+        if (toolargs::parseMachineFlag(a, opt.cfg) || opt.fault.parse(a))
+            continue;
+        if (a.is("--help") || a.is("-h")) {
             usage(0);
-        } else if (arg == "--design") {
-            std::string name = need_value(i);
-            auto d = designFromName(name);
-            if (!d) {
-                std::fprintf(stderr, "unknown design '%s'\n", name.c_str());
-                usage(2);
-            }
-            opt.designs.push_back(*d);
-        } else if (arg == "--points") {
-            opt.points =
-                toolargs::parsePositive("--points", need_value(i), usage);
-        } else if (arg == "--jobs") {
-            opt.jobs =
-                toolargs::parsePositive("--jobs", need_value(i), usage);
-        } else if (arg == "--recovery-jobs") {
-            opt.recoveryJobs = toolargs::parsePositive("--recovery-jobs",
-                                                       need_value(i),
-                                                       usage);
-        } else if (arg == "--recovery-crashes") {
-            opt.recoveryCrashes = toolargs::parsePositive(
-                "--recovery-crashes", need_value(i), usage);
-        } else if (arg == "--mode") {
-            std::string name = need_value(i);
+        } else if (a.is("--design")) {
+            opt.designs.push_back(a.design());
+        } else if (a.is("--points")) {
+            opt.points = a.positive();
+        } else if (a.is("--jobs")) {
+            opt.jobs = a.positive();
+        } else if (a.is("--recovery-jobs")) {
+            opt.recoveryJobs = a.positive();
+        } else if (a.is("--recovery-crashes")) {
+            opt.recoveryCrashes = a.positive();
+        } else if (a.is("--mode")) {
+            std::string name = a.value();
             if (name == "replay") {
                 opt.mode = SweepMode::Replay;
             } else if (name == "fork") {
@@ -195,55 +171,24 @@ parseArgs(int argc, char **argv)
                 std::fprintf(stderr, "unknown mode '%s'\n", name.c_str());
                 usage(2);
             }
-        } else if (arg == "--workload") {
-            opt.cfg.workload = workloadKindFromName(need_value(i));
-        } else if (arg == "--cores") {
-            opt.cfg.numCores =
-                static_cast<unsigned>(std::atoi(need_value(i)));
-        } else if (arg == "--channels") {
-            opt.cfg.numChannels = toolargs::parsePowerOfTwo(
-                "--channels", need_value(i), usage);
-        } else if (arg == "--txns") {
-            opt.cfg.wl.txnTarget =
-                static_cast<unsigned>(std::atoi(need_value(i)));
-        } else if (arg == "--footprint-kb") {
-            opt.cfg.wl.regionBytes =
-                std::strtoull(need_value(i), nullptr, 10) << 10;
-        } else if (arg == "--cc-kb") {
-            opt.cfg.memctl.counterCacheBytes =
-                std::strtoull(need_value(i), nullptr, 10) << 10;
-        } else if (arg == "--seed") {
-            opt.cfg.wl.seed =
-                toolargs::parseU64("--seed", need_value(i), usage);
-        } else if (arg == "--ticks-only") {
+        } else if (a.is("--txns")) {
+            opt.cfg.wl.txnTarget = a.positive();
+        } else if (a.is("--footprint-kb")) {
+            opt.cfg.wl.regionBytes = a.size(10);
+        } else if (a.is("--seed")) {
+            opt.cfg.wl.seed = a.u64();
+        } else if (a.is("--ticks-only")) {
             opt.semanticTriggers = false;
-        } else if (arg == "--faults") {
-            opt.faults = true;
-        } else if (arg == "--fault-seed") {
-            opt.faultSeed =
-                toolargs::parseU64("--fault-seed", need_value(i), usage);
-            opt.faultSeedSet = true;
-        } else if (arg == "--replays") {
-            opt.replays = true;
-        } else if (arg == "--integrity") {
-            opt.integrity = true;
-        } else if (arg == "--integrity-tree") {
-            opt.integrityTree = true;
-            opt.integrity = true;
-        } else if (arg == "--verbose") {
+        } else if (a.is("--verbose")) {
             opt.verbose = true;
-        } else if (arg == "--fingerprint") {
+        } else if (a.is("--fingerprint")) {
             opt.printFingerprint = true;
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            usage(2);
+            a.unknown();
         }
     }
 
-    toolargs::enforceFlagRules(
-        {{opt.faultSeedSet, opt.faults, "--fault-seed", "--faults"},
-         {opt.replays, opt.faults, "--replays", "--faults"}},
-        usage);
+    a.enforce({opt.fault.seedRule(), opt.fault.replaysRule()});
     if (opt.designs.empty()) {
         for (DesignPoint d : allDesignPoints())
             opt.designs.push_back(d);
@@ -267,18 +212,13 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
 {
     SystemConfig cfg = opt.cfg;
     cfg.design = design;
-    cfg.memctl.integrityMac = opt.integrity;
-    cfg.memctl.integrityTree = opt.integrityTree;
 
     SweepOptions sweep_opt;
     sweep_opt.points = opt.points;
     sweep_opt.semanticTriggers = opt.semanticTriggers;
     sweep_opt.mode = opt.mode;
     sweep_opt.recoveryJobs = opt.recoveryJobs;
-    if (opt.faults)
-        sweep_opt.faults = opt.replays
-            ? FaultSpec::allKindsWithReplays(opt.faultSeed)
-            : FaultSpec::allKinds(opt.faultSeed);
+    sweep_opt.faults = opt.fault.spec();
     SweepResult result = runSweep(cfg, sweep_opt, &pool);
 
     if (opt.verbose) {
@@ -296,7 +236,7 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
                         p.snapshot.pipeline,
                         static_cast<unsigned long long>(p.mismatchedLines),
                         static_cast<unsigned long long>(p.committedTxns));
-            if (opt.faults)
+            if (opt.fault.faults)
                 std::printf(" faulted=%llu det=%llu rep=%llu unrec=%llu",
                             static_cast<unsigned long long>(p.faultedLines),
                             static_cast<unsigned long long>(
@@ -304,7 +244,7 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
                             static_cast<unsigned long long>(p.repairedLines),
                             static_cast<unsigned long long>(
                                 p.unrecoverableLines));
-            if (opt.replays)
+            if (opt.fault.replays)
                 std::printf(" replayed=%llu caught=%llu",
                             static_cast<unsigned long long>(
                                 p.replayedLines),
@@ -340,7 +280,7 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
     totals.silentReplay += result.silentReplayPoints();
     totals.replaysCaught += result.totalOf(&SweepPoint::replaysDetected);
 
-    if (opt.faults && opt.integrity) {
+    if (opt.fault.faults && opt.integrity()) {
         // The headline invariant: with integrity metadata armed, no
         // injected fault is ever silent — and with the tree on top,
         // no replay is either. Crash-consistent designs may fail
@@ -348,7 +288,7 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
         // negative control must still demonstrate *some* failure.
         if (result.silentPoints() != 0)
             return false;
-        if (opt.integrityTree && result.silentReplayPoints() != 0)
+        if (opt.integrityTree() && result.silentReplayPoints() != 0)
             return false;
         // MAC-only replays are *expected* to slip: the stale triple
         // verifies. They count as accounted-for failures here and the
@@ -356,13 +296,13 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
         unsigned accounted =
             result.countOf(CrashClass::DetectedCorruption)
             + result.replayDetectedPoints();
-        if (!opt.integrityTree)
+        if (!opt.integrityTree())
             accounted += result.silentReplayPoints();
         if (designCrashConsistent(design))
             return result.inconsistentPoints() == accounted;
         return result.mismatchPoints() + accounted >= 1;
     }
-    if (opt.faults) {
+    if (opt.fault.faults) {
         // Integrity off: nothing to assert per design — recovery may
         // fail any which way. The matrix-level negative gate in main()
         // requires at least one silent point across the sweep.
@@ -382,18 +322,13 @@ recrashDesign(const Options &opt, DesignPoint design, WorkPool &pool)
 {
     SystemConfig cfg = opt.cfg;
     cfg.design = design;
-    cfg.memctl.integrityMac = opt.integrity;
-    cfg.memctl.integrityTree = opt.integrityTree;
 
     RecoveryCrashOptions rc_opt;
     rc_opt.points = opt.recoveryCrashes;
     rc_opt.images = opt.points;
     rc_opt.recoveryJobs = opt.recoveryJobs;
     rc_opt.semanticTriggers = opt.semanticTriggers;
-    if (opt.faults)
-        rc_opt.faults = opt.replays
-            ? FaultSpec::allKindsWithReplays(opt.faultSeed)
-            : FaultSpec::allKinds(opt.faultSeed);
+    rc_opt.faults = opt.fault.spec();
 
     RecoveryCrashResult result = runRecoveryCrashSweep(cfg, rc_opt,
                                                        &pool);
@@ -444,9 +379,9 @@ main(int argc, char **argv)
                     opt.cfg.wl.txnTarget,
                     static_cast<unsigned long long>(opt.cfg.wl.seed),
                     pool.jobs(), opt.recoveryJobs,
-                    opt.faults ? ", media faults" : "",
-                    opt.integrityTree ? ", integrity tree"
-                        : opt.integrity ? ", integrity MACs" : "");
+                    opt.fault.faults ? ", media faults" : "",
+                    opt.integrityTree() ? ", integrity tree"
+                        : opt.integrity() ? ", integrity MACs" : "");
         std::printf("%-13s %7s %8s %11s %10s %9s\n", "design", "images",
                     "captured", "points", "fired", "divergent");
         bool all_ok = true;
@@ -469,10 +404,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(opt.cfg.wl.seed),
                 pool.jobs(), sweepModeName(opt.mode),
                 opt.semanticTriggers ? "" : ", ticks only",
-                opt.faults ? ", media faults" : "",
-                opt.replays ? " + replays" : "",
-                opt.integrityTree ? ", integrity tree"
-                    : opt.integrity ? ", integrity MACs" : "");
+                opt.fault.faults ? ", media faults" : "",
+                opt.fault.replays ? " + replays" : "",
+                opt.integrityTree() ? ", integrity tree"
+                    : opt.integrity() ? ", integrity MACs" : "");
     std::printf("%-13s %7s %8s %11s %10s %9s %9s %9s %9s %7s %7s %7s\n",
                 "design", "points", "reached", "consistent", "torn-data",
                 "torn-ctr", "other", "inconsist", "detected", "silent",
@@ -489,8 +424,8 @@ main(int argc, char **argv)
     }
     unsigned total_silent = totals.silent;
 
-    if (opt.replays) {
-        if (opt.integrityTree) {
+    if (opt.fault.replays) {
+        if (opt.integrityTree()) {
             // The replay dose must bite *and* be caught: across the
             // matrix, recovery caught at least one replayed line.
             // (A dose nothing detects would make the zero-silent gate
@@ -522,7 +457,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (opt.faults && !opt.integrity) {
+    if (opt.fault.faults && !opt.integrity()) {
         // Negative control: without integrity metadata, the injected
         // faults must produce at least one silent corruption somewhere
         // in the matrix — otherwise the fault model is toothless and

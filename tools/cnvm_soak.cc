@@ -51,6 +51,8 @@ using namespace cnvm;
 namespace
 {
 
+using toolargs::shortDesignName;
+
 struct Options
 {
     SystemConfig cfg;
@@ -59,13 +61,11 @@ struct Options
     bool verbose = false;
     bool printFingerprint = false;
     bool printStats = false;
-    bool faults = false;
-    bool replays = false;
-    bool integrity = false;
-    bool integrityTree = false;
-    bool faultSeedSet = false;
     bool faultPeriodSet = false;
-    std::uint64_t faultSeed = 1;
+    toolargs::FaultFlags fault;
+
+    bool integrity() const { return cfg.memctl.integrityMac; }
+    bool integrityTree() const { return cfg.memctl.integrityTree; }
 };
 
 [[noreturn]] void
@@ -123,16 +123,6 @@ options:
     std::exit(code);
 }
 
-const char *
-shortDesignName(DesignPoint d)
-{
-    switch (d) {
-      case DesignPoint::Colocated: return "Colocated";
-      case DesignPoint::ColocatedCC: return "ColocatedCC";
-      default: return designName(d);
-    }
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
@@ -143,97 +133,51 @@ parseArgs(int argc, char **argv)
     opt.cfg.wl.setupFill = 0.3;
     opt.cfg.memctl.counterCacheBytes = 16u << 10;
 
-    auto need_value = [&](int &i) -> const char * {
-        return toolargs::needValue(argc, argv, i, usage);
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
+    toolargs::ArgReader a(argc, argv, usage);
+    while (a.next()) {
+        if (toolargs::parseMachineFlag(a, opt.cfg) || opt.fault.parse(a))
+            continue;
+        if (a.is("--help") || a.is("-h")) {
             usage(0);
-        } else if (arg == "--design") {
-            std::string name = need_value(i);
-            auto d = designFromName(name);
-            if (!d) {
-                std::fprintf(stderr, "unknown design '%s'\n", name.c_str());
-                usage(2);
-            }
-            opt.designs.push_back(*d);
-        } else if (arg == "--cycles") {
-            opt.soak.cycles = toolargs::parseBounded(
-                "--cycles", need_value(i), 4096, usage);
-        } else if (arg == "--txns-per-cycle") {
-            opt.soak.txnsPerCycle = toolargs::parsePositive(
-                "--txns-per-cycle", need_value(i), usage);
-        } else if (arg == "--chains") {
-            opt.soak.chains = toolargs::parsePositive(
-                "--chains", need_value(i), usage);
-        } else if (arg == "--jobs") {
-            opt.soak.jobs =
-                toolargs::parsePositive("--jobs", need_value(i), usage);
-        } else if (arg == "--recovery-jobs") {
-            opt.soak.recoveryJobs = toolargs::parsePositive(
-                "--recovery-jobs", need_value(i), usage);
-        } else if (arg == "--recovery-crashes") {
-            opt.soak.recoveryCrashes = toolargs::parsePositive(
-                "--recovery-crashes", need_value(i), usage);
-        } else if (arg == "--workload") {
-            opt.cfg.workload = workloadKindFromName(need_value(i));
-        } else if (arg == "--cores") {
-            opt.cfg.numCores =
-                static_cast<unsigned>(std::atoi(need_value(i)));
-        } else if (arg == "--channels") {
-            opt.cfg.numChannels = toolargs::parsePowerOfTwo(
-                "--channels", need_value(i), usage);
-        } else if (arg == "--footprint-kb") {
-            opt.cfg.wl.regionBytes =
-                std::strtoull(need_value(i), nullptr, 10) << 10;
-        } else if (arg == "--cc-kb") {
-            opt.cfg.memctl.counterCacheBytes =
-                std::strtoull(need_value(i), nullptr, 10) << 10;
-        } else if (arg == "--seed") {
-            opt.soak.seed =
-                toolargs::parseU64("--seed", need_value(i), usage);
-        } else if (arg == "--ticks-only") {
+        } else if (a.is("--design")) {
+            opt.designs.push_back(a.design());
+        } else if (a.is("--cycles")) {
+            opt.soak.cycles = a.bounded(4096);
+        } else if (a.is("--txns-per-cycle")) {
+            opt.soak.txnsPerCycle = a.positive();
+        } else if (a.is("--chains")) {
+            opt.soak.chains = a.positive();
+        } else if (a.is("--jobs")) {
+            opt.soak.jobs = a.positive();
+        } else if (a.is("--recovery-jobs")) {
+            opt.soak.recoveryJobs = a.positive();
+        } else if (a.is("--recovery-crashes")) {
+            opt.soak.recoveryCrashes = a.positive();
+        } else if (a.is("--footprint-kb")) {
+            opt.cfg.wl.regionBytes = a.size(10);
+        } else if (a.is("--seed")) {
+            opt.soak.seed = a.u64();
+        } else if (a.is("--ticks-only")) {
             opt.soak.semanticTriggers = false;
-        } else if (arg == "--faults") {
-            opt.faults = true;
-        } else if (arg == "--fault-period") {
-            opt.soak.faultPeriod = toolargs::parsePositive(
-                "--fault-period", need_value(i), usage);
+        } else if (a.is("--fault-period")) {
+            opt.soak.faultPeriod = a.positive();
             opt.faultPeriodSet = true;
-        } else if (arg == "--fault-seed") {
-            opt.faultSeed =
-                toolargs::parseU64("--fault-seed", need_value(i), usage);
-            opt.faultSeedSet = true;
-        } else if (arg == "--replays") {
-            opt.replays = true;
-        } else if (arg == "--integrity") {
-            opt.integrity = true;
-        } else if (arg == "--integrity-tree") {
-            opt.integrityTree = true;
-            opt.integrity = true;
-        } else if (arg == "--stats") {
+        } else if (a.is("--stats")) {
             opt.printStats = true;
-        } else if (arg == "--verbose") {
+        } else if (a.is("--verbose")) {
             opt.verbose = true;
-        } else if (arg == "--fingerprint") {
+        } else if (a.is("--fingerprint")) {
             opt.printFingerprint = true;
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            usage(2);
+            a.unknown();
         }
     }
 
-    toolargs::enforceFlagRules(
-        {{opt.faultSeedSet, opt.faults, "--fault-seed", "--faults"},
-         {opt.faultPeriodSet, opt.faults, "--fault-period", "--faults"},
-         {opt.replays, opt.faults, "--replays", "--faults"}},
-        usage);
-    if (opt.faults)
-        opt.soak.faults = opt.replays
-            ? FaultSpec::allKindsWithReplays(opt.faultSeed)
-            : FaultSpec::allKinds(opt.faultSeed);
+    a.enforce({opt.fault.seedRule(),
+               {opt.faultPeriodSet, opt.fault.faults, "--fault-period",
+                "--faults"},
+               opt.fault.replaysRule()});
+    opt.soak.faults = opt.fault.spec();
     if (opt.designs.empty()) {
         for (DesignPoint d : allDesignPoints())
             opt.designs.push_back(d);
@@ -286,8 +230,6 @@ soakDesign(const Options &opt, DesignPoint design, WorkPool &pool,
 {
     SystemConfig cfg = opt.cfg;
     cfg.design = design;
-    cfg.memctl.integrityMac = opt.integrity;
-    cfg.memctl.integrityTree = opt.integrityTree;
 
     SoakResult result = runSoak(cfg, opt.soak, &pool);
 
@@ -323,9 +265,9 @@ soakDesign(const Options &opt, DesignPoint design, WorkPool &pool,
     totals.silentCycles += silent;
     totals.silentReplayCycles += silent_replay;
 
-    bool expected_ok = soakChainExpectedOk(design, opt.integrity,
-                                           opt.integrityTree, opt.faults,
-                                           opt.replays);
+    bool expected_ok = soakChainExpectedOk(
+        design, opt.integrity(), opt.integrityTree(), opt.fault.faults,
+        opt.fault.replays);
     std::printf("%-13s %7u %8u %8u %7u %7u %7u %8u %7u %8llu  %s\n",
                 shortDesignName(design),
                 static_cast<unsigned>(result.chains.size()),
@@ -352,7 +294,7 @@ soakDesign(const Options &opt, DesignPoint design, WorkPool &pool,
     // the torn counter is detected, never consumed). Dosed negative
     // controls are allowed to fail silently; that is their point, and
     // the matrix-level gates in main() require that they actually do.
-    if (!result.allOk() && !opt.faults)
+    if (!result.allOk() && !opt.fault.faults)
         return silent + silent_replay == 0;
     return !result.allOk();
 }
@@ -381,12 +323,12 @@ main(int argc, char **argv)
                 workloadKindName(opt.cfg.workload), opt.cfg.numCores,
                 static_cast<unsigned long long>(opt.soak.seed),
                 pool.jobs(), opt.soak.recoveryJobs,
-                opt.faults ? ", media faults" : "",
-                opt.replays ? " + replays" : "",
+                opt.fault.faults ? ", media faults" : "",
+                opt.fault.replays ? " + replays" : "",
                 opt.soak.recoveryCrashes > 0 ? ", recovery-crash probe"
                                              : "",
-                opt.integrityTree ? ", integrity tree"
-                    : opt.integrity ? ", integrity MACs" : "");
+                opt.integrityTree() ? ", integrity tree"
+                    : opt.integrity() ? ", integrity MACs" : "");
     std::printf("%-13s %7s %8s %8s %7s %7s %7s %8s %7s %8s\n", "design",
                 "chains", "cycles", "crashed", "dosed", "resets",
                 "silent", "detected", "rp-det", "final-q");
@@ -401,7 +343,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (opt.faults && !opt.integrity) {
+    if (opt.fault.faults && !opt.integrity()) {
         // Negative control: without integrity metadata the dose must
         // demonstrate at least one silent cycle somewhere — otherwise
         // the zero-silent gate of the armed runs proves nothing.
@@ -417,7 +359,7 @@ main(int argc, char **argv)
                         totals.silentCycles + totals.silentReplayCycles);
         }
     }
-    if (opt.replays && opt.integrity && !opt.integrityTree) {
+    if (opt.fault.replays && opt.integrity() && !opt.integrityTree()) {
         // Negative control: MAC-only, at least one replayed triple
         // must be consumed silently somewhere in the matrix.
         if (totals.silentReplayCycles == 0) {
