@@ -15,10 +15,21 @@
  * Keys are line *indices* (an address divided by lineBytes, or any
  * other dense numbering the caller picks), not byte addresses.
  *
+ * Copies are copy-on-write snapshots. Pages are shared between a
+ * table and its copies through an intrusive atomic reference count,
+ * so a copy costs one pointer per page; every non-const call that
+ * reaches a page (operator[], tryEmplace, non-const find, erase)
+ * first clones it if another table still holds it, with the semantics
+ * of Rust's Arc::make_mut. Neither a table nor its copy ever sees the
+ * other's writes, and a table written after a copy pays one page
+ * clone per page it touches, not per page it holds.
+ *
  * Thread safety: const member functions read only, so any number of
  * threads may look up and iterate a table nobody is mutating. Every
  * non-const call may allocate a page or a chunk and so needs exclusive
- * access. A copy is deep and independent of its source.
+ * access to *its* table. Distinct tables that share pages may be used
+ * from different threads: readers of one copy never see the writes of
+ * another, and the last holder to release a page frees it.
  */
 
 #ifndef CNVM_COMMON_LINE_TABLE_HH
@@ -26,6 +37,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -53,17 +65,12 @@ class LineTable
     LineTable(LineTable &&) noexcept = default;
     LineTable &operator=(LineTable &&) noexcept = default;
 
+    /** Shares every page of @p other; see the file comment. */
     LineTable(const LineTable &other) : count(other.count)
     {
         dir.reserve(other.dir.size());
-        for (const DirEntry &e : other.dir) {
-            auto chunk = std::make_unique<Chunk>();
-            for (unsigned p = 0; p < chunkPages; ++p)
-                if (e.chunk->pages[p])
-                    chunk->pages[p] =
-                        std::make_unique<Page>(*e.chunk->pages[p]);
-            dir.push_back({e.number, std::move(chunk)});
-        }
+        for (const DirEntry &e : other.dir)
+            dir.push_back({e.number, std::make_unique<Chunk>(*e.chunk)});
     }
 
     LineTable &
@@ -75,13 +82,33 @@ class LineTable
     }
 
     /** The record at @p key, or nullptr when absent. */
-    const T *find(Key key) const { return slotOf(key); }
-    T *find(Key key) { return slotOf(key); }
+    const T *
+    find(Key key) const
+    {
+        const PageRef *ref = refOf(key / pageSlots);
+        const unsigned slot = key % pageSlots;
+        if (ref == nullptr || !(ref->get()->present >> slot & 1))
+            return nullptr;
+        return &ref->get()->slots[slot];
+    }
+
+    /** Mutable twin of find(): unshares the record's page first. */
+    T *
+    find(Key key)
+    {
+        PageRef *ref = refOf(key / pageSlots);
+        const unsigned slot = key % pageSlots;
+        if (ref == nullptr || !(ref->get()->present >> slot & 1))
+            return nullptr;
+        return &ref->mut().slots[slot];
+    }
 
     /**
      * The record at @p key, value-initialized first when absent.
      * The reference stays valid until the key is erased or the table
-     * cleared: pages never move.
+     * cleared: pages never move. Do not write through it once the
+     * table has been copied, though — the copy shares the page until
+     * the next non-const call clones it.
      */
     T &
     operator[](Key key)
@@ -114,11 +141,11 @@ class LineTable
     bool
     erase(Key key)
     {
-        Page *page = findPage(key / pageSlots);
+        PageRef *ref = refOf(key / pageSlots);
         const std::uint64_t bit = std::uint64_t(1) << (key % pageSlots);
-        if (page == nullptr || !(page->present & bit))
+        if (ref == nullptr || !(ref->get()->present & bit))
             return false;
-        page->present &= ~bit;
+        ref->mut().present &= ~bit;
         --count;
         return true;
     }
@@ -138,7 +165,17 @@ class LineTable
     void
     forEach(Fn &&fn) const
     {
-        forEachMasked([](Key) { return ~std::uint64_t(0); }, fn);
+        forEachInRange(0, ~Key(0), fn);
+    }
+
+    /** Visits the records with @p first <= key <= @p last as
+     *  fn(key, value), in ascending key order. */
+    template <typename Fn>
+    void
+    forEachInRange(Key first, Key last, Fn &&fn) const
+    {
+        forEachMasked(first, last, [](Key) { return ~std::uint64_t(0); },
+                      fn);
     }
 
     /**
@@ -155,6 +192,7 @@ class LineTable
         // Page bases are multiples of pageSlots, so the first matching
         // slot of a page is (residue - base) mod stride.
         forEachMasked(
+            0, ~Key(0),
             [stride, residue](Key base) {
                 std::uint64_t mask = 0;
                 for (Key s = (residue - base) & (stride - 1); s < pageSlots;
@@ -168,13 +206,78 @@ class LineTable
   private:
     struct Page
     {
+        /** Tables holding this page; 1 means the holder may write. */
+        std::atomic<std::uint32_t> refs{1};
         std::uint64_t present = 0;
         std::array<T, pageSlots> slots{};
+
+        Page() = default;
+        Page(const Page &other)
+            : present(other.present), slots(other.slots)
+        {
+        }
+    };
+
+    /** An owning, intrusively counted pointer to a shared page. */
+    class PageRef
+    {
+      public:
+        PageRef() = default;
+        explicit PageRef(Page *page) : page(page) {}
+        PageRef(const PageRef &other) : page(other.page)
+        {
+            // A new holder is made only from an existing one, so the
+            // count cannot reach zero meanwhile: relaxed suffices.
+            if (page != nullptr)
+                page->refs.fetch_add(1, std::memory_order_relaxed);
+        }
+        PageRef(PageRef &&other) noexcept
+            : page(std::exchange(other.page, nullptr))
+        {
+        }
+        PageRef &
+        operator=(PageRef other) noexcept
+        {
+            std::swap(page, other.page);
+            return *this;
+        }
+        ~PageRef()
+        {
+            // Release publishes this holder's reads and writes; the
+            // last holder's acquire orders every other holder's before
+            // the delete. (One acq_rel RMW rather than a release
+            // decrement plus an acquire fence: ThreadSanitizer does
+            // not model fences.)
+            if (page != nullptr
+                && page->refs.fetch_sub(1, std::memory_order_acq_rel)
+                       == 1)
+                delete page;
+        }
+
+        const Page *get() const { return page; }
+        explicit operator bool() const { return page != nullptr; }
+
+        /**
+         * The page, writable: cloned first unless this is its only
+         * holder. The acquire load pairs with the release decrement
+         * of a holder on another thread, so its last reads happen
+         * before the writes that follow.
+         */
+        Page &
+        mut()
+        {
+            if (page->refs.load(std::memory_order_acquire) != 1)
+                *this = PageRef(new Page(*page));
+            return *page;
+        }
+
+      private:
+        Page *page = nullptr;
     };
 
     struct Chunk
     {
-        std::array<std::unique_ptr<Page>, chunkPages> pages;
+        std::array<PageRef, chunkPages> pages;
     };
 
     struct DirEntry
@@ -195,29 +298,21 @@ class LineTable
             [](const DirEntry &e, Key n) { return e.number < n; });
     }
 
-    /** The page numbered @p page_no, or nullptr. Pages are owned
-     *  through pointers, so a const table still yields them mutable;
-     *  only the non-const members hand that on. */
-    Page *
-    findPage(Key page_no) const
+    /** The holder of the page numbered @p page_no, or nullptr when
+     *  that page was never allocated. Chunks are owned through
+     *  pointers, so a const table still yields it mutable; only the
+     *  non-const members hand that on. */
+    PageRef *
+    refOf(Key page_no) const
     {
         auto it = lowerBound(page_no / chunkPages);
         if (it == dir.end() || it->number != page_no / chunkPages)
             return nullptr;
-        return it->chunk->pages[page_no % chunkPages].get();
+        PageRef &ref = it->chunk->pages[page_no % chunkPages];
+        return ref ? &ref : nullptr;
     }
 
-    T *
-    slotOf(Key key) const
-    {
-        Page *page = findPage(key / pageSlots);
-        const unsigned slot = key % pageSlots;
-        if (page == nullptr || !(page->present >> slot & 1))
-            return nullptr;
-        return &page->slots[slot];
-    }
-
-    /** The page numbered @p page_no, allocated when absent. */
+    /** The page numbered @p page_no, writable, allocated when absent. */
     Page &
     pageFor(Key page_no)
     {
@@ -225,26 +320,37 @@ class LineTable
         auto it = lowerBound(number);
         if (it == dir.end() || it->number != number)
             it = dir.insert(it, {number, std::make_unique<Chunk>()});
-        std::unique_ptr<Page> &page = it->chunk->pages[page_no % chunkPages];
-        if (!page)
-            page = std::make_unique<Page>();
-        return *page;
+        PageRef &ref = it->chunk->pages[page_no % chunkPages];
+        if (!ref)
+            ref = PageRef(new Page);
+        return ref.mut();
     }
 
-    /** Visits the records of each page whose slots are set in both
-     *  the presence bitmap and mask_of(first key of the page). */
+    /** Visits the records with @p first <= key <= @p last of each
+     *  page whose slots are set in both the presence bitmap and
+     *  mask_of(first key of the page). */
     template <typename MaskFn, typename Fn>
     void
-    forEachMasked(MaskFn mask_of, Fn &fn) const
+    forEachMasked(Key first, Key last, MaskFn mask_of, Fn &fn) const
     {
-        for (const DirEntry &e : dir) {
+        constexpr Key chunkKeys = Key(chunkPages) * pageSlots;
+        for (auto e = lowerBound(first / chunkKeys);
+             e != dir.end() && e->number <= last / chunkKeys; ++e) {
             for (unsigned p = 0; p < chunkPages; ++p) {
-                const Page *page = e.chunk->pages[p].get();
+                const Page *page = e->chunk->pages[p].get();
                 if (page == nullptr)
                     continue;
-                const Key base = (e.number * chunkPages + p) * pageSlots;
-                for (std::uint64_t bits = page->present & mask_of(base);
-                     bits != 0; bits &= bits - 1) {
+                const Key base = (e->number * chunkPages + p) * pageSlots;
+                if (base > last)
+                    return;
+                if (base + (pageSlots - 1) < first)
+                    continue;
+                std::uint64_t bits = page->present & mask_of(base);
+                if (first > base)
+                    bits &= ~std::uint64_t(0) << (first - base);
+                if (last - base < pageSlots - 1)
+                    bits &= ~(~std::uint64_t(0) << (last - base + 1));
+                for (; bits != 0; bits &= bits - 1) {
                     const unsigned slot =
                         static_cast<unsigned>(__builtin_ctzll(bits));
                     fn(base + slot, page->slots[slot]);

@@ -6,6 +6,9 @@
 #ifndef CNVM_CORE_CONFIG_HH
 #define CNVM_CORE_CONFIG_HH
 
+#include <string>
+#include <vector>
+
 #include "mem/core_mem_path.hh"
 #include "memctl/mem_controller.hh"
 #include "nvm/nvm_timing.hh"
@@ -62,6 +65,17 @@ struct SystemConfig
      * reports warmed-up gem5 measurements, not cold-start ones).
      */
     bool warmCounterCache = true;
+
+    /**
+     * Every reason this configuration cannot build a System, empty
+     * when it can. These are the cross-field rules no single value
+     * breaks alone: the channel count and the counter-cache split and
+     * geometry, the workload region against its undo log, and the
+     * per-core region layout against the counter region. System
+     * construction is fatal on the first reason; the tools check
+     * first and turn a reason into a usage error.
+     */
+    std::vector<std::string> validate() const;
 
     /** Deterministic per-core seed derivation. */
     std::uint64_t

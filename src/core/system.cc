@@ -18,6 +18,10 @@ namespace
  *  bank-interleave period). */
 constexpr Addr bankStaggerStep = Addr(33) * lineBytes;
 
+/** An address computed without wrapping: validate() sizes layouts
+ *  whose end may lie beyond 2^64. */
+using WideAddr = unsigned __int128;
+
 /**
  * Stride between per-core regions, rounded for clean bank mapping and
  * padded so that every core's staggered region still fits inside its
@@ -25,30 +29,101 @@ constexpr Addr bankStaggerStep = Addr(33) * lineBytes;
  * base, so the slot must absorb the largest stagger or the last cores
  * would bleed into their neighbours' slots.
  */
-Addr
+WideAddr
 regionStride(const WorkloadParams &wl, unsigned num_cores)
 {
-    Addr max_stagger = Addr(num_cores - 1) * bankStaggerStep;
-    return roundUp(wl.regionBytes + max_stagger, 1ull << 20);
+    const WideAddr mb = WideAddr(1) << 20;
+    const WideAddr max_stagger = WideAddr(num_cores - 1) * bankStaggerStep;
+    return (wl.regionBytes + max_stagger + mb - 1) / mb * mb;
 }
 
-/** Validated interleave map for the configured channel count. */
+/**
+ * The interleave map of a configuration that passes validate(). The
+ * first part of a System built, so an invalid configuration is fatal
+ * before anything else is.
+ */
 ChannelMap
 makeChannelMap(const SystemConfig &cfg)
 {
-    if (!isPowerOfTwo(cfg.numChannels))
-        cnvm_fatal("numChannels must be a nonzero power of two, got %u",
-                   cfg.numChannels);
+    const std::vector<std::string> reasons = cfg.validate();
+    if (!reasons.empty())
+        cnvm_fatal("%s", reasons.front().c_str());
     return ChannelMap(cfg.numChannels, cfg.memctl.counterRegionBase);
 }
 
+/** @p value as 0x-prefixed hex. */
+std::string
+hex(WideAddr value)
+{
+    std::string digits;
+    do {
+        digits.insert(digits.begin(), "0123456789abcdef"[value & 15]);
+        value >>= 4;
+    } while (value != 0);
+    return "0x" + digits;
+}
+
 } // anonymous namespace
+
+std::vector<std::string>
+SystemConfig::validate() const
+{
+    std::vector<std::string> reasons;
+    if (numCores < 1)
+        reasons.push_back("numCores must be at least 1");
+    if (!isPowerOfTwo(numChannels)) {
+        reasons.push_back("numChannels must be a nonzero power of two, "
+                          "got " + std::to_string(numChannels));
+    } else if (memctl.counterCacheBytes % numChannels != 0) {
+        // The configured capacity is the system total; each channel
+        // owns an equal slice of it.
+        reasons.push_back("counter cache ("
+                          + std::to_string(memctl.counterCacheBytes)
+                          + " B) does not split evenly over "
+                          + std::to_string(numChannels) + " channels");
+    } else if (designHasCounterCache(design)) {
+        const std::uint64_t slice = memctl.counterCacheBytes / numChannels;
+        const std::uint64_t set_bytes =
+            std::uint64_t(memctl.counterCacheAssoc) * lineBytes;
+        if (set_bytes == 0 || slice % set_bytes != 0
+            || !isPowerOfTwo(slice / set_bytes)) {
+            reasons.push_back(
+                "counter cache (" + std::to_string(slice)
+                + " B per channel) is not a power-of-two number of "
+                + std::to_string(memctl.counterCacheAssoc) + "-way sets");
+        }
+    }
+
+    if (wl.regionBytes < minRegionBytes(wl)) {
+        reasons.push_back("workload region ("
+                          + std::to_string(wl.regionBytes)
+                          + " B) too small for the undo log (needs "
+                          + std::to_string(minRegionBytes(wl)) + " B)");
+    }
+    if (numCores >= 1) {
+        // Regions ascend with the core index, so the last one reaches
+        // highest: past the data half of the address space it would
+        // silently corrupt the counter store. In 128 bits, so a huge
+        // region or core count cannot wrap around to a low address.
+        const unsigned last = numCores - 1;
+        const WideAddr last_base = dataRegionBase
+            + WideAddr(last) * regionStride(wl, numCores)
+            + WideAddr(last) * bankStaggerStep;
+        const WideAddr last_end = last_base + wl.regionBytes;
+        if (last_end > memctl.counterRegionBase) {
+            reasons.push_back("core " + std::to_string(last) + " region ["
+                              + hex(last_base) + ", " + hex(last_end)
+                              + ") overflows into the counter region at "
+                              + hex(memctl.counterRegionBase));
+        }
+    }
+    return reasons;
+}
 
 System::System(const SystemConfig &cfg_in)
     : cfg(cfg_in),
       nvmDev(cfg_in.nvm, &registry, makeChannelMap(cfg_in))
 {
-    cnvm_assert(cfg.numCores >= 1);
     build(nullptr);
 }
 
@@ -56,7 +131,6 @@ System::System(const SystemConfig &cfg_in, const ResumeState &resume)
     : cfg(cfg_in),
       nvmDev(cfg_in.nvm, &registry, makeChannelMap(cfg_in))
 {
-    cnvm_assert(cfg.numCores >= 1);
     cnvm_assert(resume.committedTxns.size() == cfg.numCores);
     cnvm_assert(resume.quarantined.size() == cfg.numCores);
     build(&resume);
@@ -71,14 +145,7 @@ System::build(const ResumeState *resume)
     mc.design = cfg.design;
     mc.numChannels = cfg.numChannels;
     // The configured counter-cache capacity is the explicit system
-    // total; each channel owns an equal slice of it.
-    if (cfg.memctl.counterCacheBytes % cfg.numChannels != 0) {
-        cnvm_fatal("counter cache (%llu B) does not split evenly over "
-                   "%u channels",
-                   static_cast<unsigned long long>(
-                       cfg.memctl.counterCacheBytes),
-                   cfg.numChannels);
-    }
+    // total; each channel owns an equal slice of it (validate()).
     mc.counterCacheBytes = cfg.memctl.counterCacheBytes / cfg.numChannels;
     for (unsigned ch = 0; ch < cfg.numChannels; ++ch) {
         mc.channelId = ch;
@@ -99,7 +166,6 @@ System::build(const ResumeState *resume)
 
     ClockDomain cpu_clock(static_cast<Tick>(1000.0 / cfg.cpuGHz));
 
-    Addr prev_region_end = 0;
     for (unsigned i = 0; i < cfg.numCores; ++i) {
         WorkloadParams wl = cfg.wl;
         // The stagger keeps different cores' hot lines (log headers,
@@ -108,31 +174,11 @@ System::build(const ResumeState *resume)
         // would pile every core's log area onto one bank.
         Addr bank_stagger = Addr(i) * bankStaggerStep;
         wl.regionBase = cfg.dataRegionBase
-                      + i * regionStride(cfg.wl, cfg.numCores)
+                      + i * static_cast<Addr>(
+                          regionStride(cfg.wl, cfg.numCores))
                       + bank_stagger;
-        // Layout guards: a region that reaches into its neighbour (or
-        // past the data half of the address space into the counter
-        // store) would silently corrupt another core's state long
-        // before any crash machinery could notice.
-        if (wl.regionBase < prev_region_end) {
-            cnvm_fatal("core %u region [%#llx, %#llx) overlaps core %u "
-                       "(stride too small for the bank stagger)",
-                       i,
-                       static_cast<unsigned long long>(wl.regionBase),
-                       static_cast<unsigned long long>(wl.regionBase
-                                                       + wl.regionBytes),
-                       i - 1);
-        }
-        prev_region_end = wl.regionBase + wl.regionBytes;
-        if (prev_region_end > cfg.memctl.counterRegionBase) {
-            cnvm_fatal("core %u region [%#llx, %#llx) overflows into "
-                       "the counter region at %#llx",
-                       i,
-                       static_cast<unsigned long long>(wl.regionBase),
-                       static_cast<unsigned long long>(prev_region_end),
-                       static_cast<unsigned long long>(
-                           cfg.memctl.counterRegionBase));
-        }
+        // Disjoint by construction (regionStride absorbs the largest
+        // stagger); below the counter region by validate().
         wl.seed = cfg.coreSeed(i);
         workloads.push_back(makeWorkload(cfg.workload, wl));
 

@@ -1,7 +1,7 @@
 #include "integrity/integrity_tree.hh"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hh"
@@ -49,16 +49,20 @@ treeZeroHash(unsigned level)
 namespace
 {
 
+/** One tree level: (index, hash) nodes in ascending index order. */
+using TreeLevel = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
 /**
- * One 8-ary reduction step: the parents of @p level's nodes, absent
- * children standing in for their zero hash. Ordered maps keep the
- * grouping (and hence every caller's write order) deterministic.
+ * One 8-ary reduction step, in place: replaces @p level's nodes with
+ * their parents, absent children standing in for their zero hash. The
+ * nodes stay in index order, which keeps the grouping (and hence every
+ * caller's write order) deterministic. Each parent consumes at least
+ * one child, so it never overwrites a child still to be read.
  */
-std::map<std::uint64_t, std::uint64_t>
-reduceLevel(const std::map<std::uint64_t, std::uint64_t> &level,
-            unsigned level_no)
+void
+reduceLevel(TreeLevel &level, unsigned level_no)
 {
-    std::map<std::uint64_t, std::uint64_t> up;
+    std::size_t out = 0;
     auto it = level.begin();
     while (it != level.end()) {
         const std::uint64_t parent = it->first / treeArity;
@@ -69,9 +73,9 @@ reduceLevel(const std::map<std::uint64_t, std::uint64_t> &level,
             children[it->first % treeArity] = it->second;
             ++it;
         }
-        up[parent] = treeCombine(children);
+        level[out++] = {parent, treeCombine(children)};
     }
-    return up;
+    level.resize(out);
 }
 
 /** Level-1 hash of one persisted counter line. */
@@ -85,31 +89,27 @@ counterLineHash(const CounterLine &values)
     return treeCombine(slots);
 }
 
-/** Root of a level-1 node map, reduced all the way up. */
-std::uint64_t
-rootOf(std::map<std::uint64_t, std::uint64_t> level)
-{
-    for (unsigned l = 1; l < treeRootLevel; ++l)
-        level = reduceLevel(level, l);
-    if (level.empty())
-        return treeZeroHash(treeRootLevel);
-    cnvm_assert(level.size() == 1 && level.begin()->first == 0);
-    return level.begin()->second;
-}
-
 } // anonymous namespace
 
 std::uint64_t
 computeTreeRoot(const PersistSource &src, Addr counter_region_base)
 {
-    std::map<std::uint64_t, std::uint64_t> leaves;
-    for (Addr addr : src.counterLineAddrs()) {
+    const std::vector<Addr> addrs = src.counterLineAddrs();
+    TreeLevel level;
+    level.reserve(addrs.size());
+    for (Addr addr : addrs) {
         cnvm_assert(addr >= counter_region_base);
         const std::uint64_t index = (addr - counter_region_base)
             / lineBytes;
-        leaves[index] = counterLineHash(src.persistedCounters(addr));
+        level.emplace_back(index,
+                           counterLineHash(src.persistedCounters(addr)));
     }
-    return rootOf(std::move(leaves));
+    for (unsigned l = 1; l < treeRootLevel; ++l)
+        reduceLevel(level, l);
+    if (level.empty())
+        return treeZeroHash(treeRootLevel);
+    cnvm_assert(level.size() == 1 && level.front().first == 0);
+    return level.front().second;
 }
 
 std::uint64_t
@@ -120,39 +120,42 @@ rebuildTree(PersistImage &img, Addr counter_region_base, Addr ctr_lo,
     // level-0 nodes plus the level-1 counter-block node, one counter
     // line at a time in address order. Each line is an interruption
     // point for the recovery-crash sweep.
-    for (Addr addr : img.counterLineAddrs()) {
-        if (addr < ctr_lo || addr >= ctr_hi)
-            continue;
-        cnvm_assert(addr >= counter_region_base);
-        const std::uint64_t index = (addr - counter_region_base)
-            / lineBytes;
-        const CounterLine values = img.persistedCounters(addr);
-        std::uint64_t slots[treeArity];
-        for (unsigned s = 0; s < countersPerLine; ++s) {
-            slots[s] = treeSlotHash(values[s]);
-            img.drainTreeNode(0, index * countersPerLine + s, slots[s]);
-        }
-        img.drainTreeNode(1, index, treeCombine(slots));
-        if (leaf_visited)
-            leaf_visited();
-    }
+    img.counterLines().forEach(
+        [&](std::uint64_t key, const CounterLine &values) {
+            const Addr addr = key * lineBytes;
+            if (addr < ctr_lo || addr >= ctr_hi)
+                return;
+            cnvm_assert(addr >= counter_region_base);
+            const std::uint64_t index = (addr - counter_region_base)
+                / lineBytes;
+            std::uint64_t slots[treeArity];
+            for (unsigned s = 0; s < countersPerLine; ++s) {
+                slots[s] = treeSlotHash(values[s]);
+                img.drainTreeNode(0, index * countersPerLine + s,
+                                  slots[s]);
+            }
+            img.drainTreeNode(1, index, treeCombine(slots));
+            if (leaf_visited)
+                leaf_visited();
+        });
 
     // Phase 2 — the interior, from the *persisted* level-1 nodes (not
     // the store): leaves outside [ctr_lo, ctr_hi) keep whatever was
     // persisted for them, so a regional rebuild cannot bless another
-    // region's not-yet-recovered replay evidence.
-    std::map<std::uint64_t, std::uint64_t> level;
+    // region's not-yet-recovered replay evidence. Each level above is
+    // reduced from the one just computed, never read back.
+    TreeLevel level;
     for (std::uint64_t index : img.persistedTreeLeafIndices())
-        level[index] = *img.persistedTreeNode(1, index);
+        level.emplace_back(index, *img.persistedTreeNode(1, index));
     for (unsigned l = 1; l < treeRootLevel; ++l) {
-        level = reduceLevel(level, l);
+        reduceLevel(level, l);
         if (l + 1 < treeRootLevel)
             for (const auto &[index, hash] : level)
                 img.drainTreeNode(l + 1, index, hash);
     }
     const std::uint64_t root = level.empty()
         ? treeZeroHash(treeRootLevel)
-        : level.begin()->second;
+        : level.front().second;
 
     // The root is written strictly last: an interrupted rebuild leaves
     // the stale root in place, so the next attempt still sees the

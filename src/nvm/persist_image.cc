@@ -1,6 +1,6 @@
 #include "nvm/persist_image.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -101,7 +101,14 @@ PersistImage::drainTreeNode(unsigned level, std::uint64_t index,
                             std::uint64_t hash)
 {
     cnvm_assert(index < (std::uint64_t(1) << 32));
-    treeStore[treeKey(level, index)] = hash;
+    // Rewriting a node with the hash it already holds changes nothing;
+    // skipping it keeps a snapshot's tree pages shared with their
+    // source (a crash flush rewrites every node, and most are
+    // unchanged).
+    const std::uint64_t key = treeKey(level, index);
+    const std::uint64_t *stored = std::as_const(treeStore).find(key);
+    if (stored == nullptr || *stored != hash)
+        treeStore[key] = hash;
 }
 
 void
@@ -114,8 +121,7 @@ PersistImage::drainTreeRoot(std::uint64_t hash)
 const std::uint64_t *
 PersistImage::persistedTreeNode(unsigned level, std::uint64_t index) const
 {
-    auto it = treeStore.find(treeKey(level, index));
-    return it == treeStore.end() ? nullptr : &it->second;
+    return treeStore.find(treeKey(level, index));
 }
 
 const std::uint64_t *
@@ -128,10 +134,11 @@ std::vector<std::uint64_t>
 PersistImage::persistedTreeLeafIndices() const
 {
     std::vector<std::uint64_t> indices;
-    for (const auto &[key, hash] : treeStore)
-        if ((key >> 32) == 1)
+    treeStore.forEachInRange(
+        treeKey(1, 0), treeKey(1, 0xffffffffull),
+        [&indices](std::uint64_t key, std::uint64_t) {
             indices.push_back(key & 0xffffffffull);
-    std::sort(indices.begin(), indices.end());
+        });
     return indices;
 }
 
@@ -170,7 +177,8 @@ PersistImage::replayLine(Addr line_addr, Addr ctr_line_addr,
                          unsigned slot)
 {
     cnvm_assert(slot < countersPerLine);
-    const LineRecord *stale = staleTriples.find(lineKey(line_addr));
+    const LineRecord *stale =
+        std::as_const(staleTriples).find(lineKey(line_addr));
     if (stale == nullptr)
         return false;
     // A "replay" to the value already stored would change nothing —

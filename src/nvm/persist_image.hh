@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -108,9 +107,10 @@ class PersistSource
  * store, and the oracle's cipher-counter record. Each data line's
  * ciphertext, cipher counter and MAC live in one record of a paged
  * LineTable, and the counter store is a second table, both keyed by
- * line index. Copyable — the tables hold pages only where lines were
- * drained, so a copy's cost scales with the touched footprint, not
- * the address space.
+ * line index; the integrity-tree nodes are a third table. A copy is a
+ * copy-on-write snapshot: it shares every table page with its source,
+ * so it costs a pointer per touched page, and whichever side writes a
+ * shared page afterwards clones that page alone.
  */
 class PersistImage final : public PersistSource
 {
@@ -209,7 +209,8 @@ class PersistImage final : public PersistSource
     const std::uint64_t *persistedTreeRoot() const override;
 
     /** Sorted indices of the persisted level-1 (counter-block) tree
-     *  nodes — rebuildTree()'s interior recomputation domain. */
+     *  nodes — rebuildTree()'s interior recomputation domain. An
+     *  ordered walk of the tree store's level-1 key range. */
     std::vector<std::uint64_t> persistedTreeLeafIndices() const;
 
     /** Number of data lines an injected replay rolled back. */
@@ -284,7 +285,7 @@ class PersistImage final : public PersistSource
     LineTable<CounterLine> counterStore;
 
     /** Persisted integrity-tree nodes, keyed by treeKey(). */
-    std::unordered_map<std::uint64_t, std::uint64_t> treeStore;
+    LineTable<std::uint64_t> treeStore;
 
     /** Persisted integrity-tree root (valid iff treeRootPresent). */
     std::uint64_t treeRoot = 0;

@@ -5,12 +5,20 @@
 namespace cnvm
 {
 
+std::uint64_t
+minRegionBytes(const WorkloadParams &params)
+{
+    LogLayout log;
+    log.maxLines = params.logLines;
+    return log.sizeBytes() + lineBytes;
+}
+
 Workload::Workload(const WorkloadParams &params)
     : params(params), rng(params.seed)
 {
     logLayout.base = params.regionBase;
     logLayout.maxLines = params.logLines;
-    if (logLayout.sizeBytes() + lineBytes > params.regionBytes)
+    if (params.regionBytes < minRegionBytes(params))
         cnvm_fatal("workload region (%llu B) too small for the undo log",
                    static_cast<unsigned long long>(params.regionBytes));
     staticCursor = roundUp(params.regionBase + logLayout.sizeBytes(),

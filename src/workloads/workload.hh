@@ -67,6 +67,13 @@ struct WorkloadParams
 };
 
 /**
+ * Smallest region that holds a workload's undo log (@p params'
+ * logLines) plus one line for its structure; smaller is a
+ * configuration error (SystemConfig::validate()).
+ */
+std::uint64_t minRegionBytes(const WorkloadParams &params);
+
+/**
  * Which functional part of a workload's region an address belongs to.
  * The crash oracle uses this to attribute a counter/data mismatch: a
  * garbage log header loses the whole region, a garbage structure line

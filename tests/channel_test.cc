@@ -347,6 +347,52 @@ TEST(RegionLayout, StaggeredRegionOverflowingCounterSpaceFailsLoudly)
                 "overflows into the counter region");
 }
 
+TEST(ConfigValidate, ReportsEachCrossFieldRuleItBreaks)
+{
+    auto reasons = [](const SystemConfig &cfg) {
+        std::string all;
+        for (const std::string &r : cfg.validate())
+            all += r + "\n";
+        return all;
+    };
+    EXPECT_EQ(reasons(channelConfig(4)), "");
+
+    SystemConfig uneven = channelConfig(4);
+    uneven.memctl.counterCacheBytes = (64 << 10) + 2;
+    EXPECT_NE(reasons(uneven).find("does not split evenly over 4"),
+              std::string::npos);
+
+    // 1 KB over 4 channels: 256 B per slice, less than one 16-way set.
+    // A design without a counter cache has no geometry to break.
+    SystemConfig tiny = channelConfig(4);
+    tiny.memctl.counterCacheBytes = 1 << 10;
+    EXPECT_NE(reasons(tiny).find("256 B per channel"), std::string::npos);
+    tiny.design = DesignPoint::NoEncryption;
+    EXPECT_EQ(reasons(tiny), "");
+
+    SystemConfig three_sets = channelConfig(1);
+    three_sets.memctl.counterCacheBytes = 3 << 10;
+    EXPECT_NE(reasons(three_sets).find("power-of-two number of 16-way"),
+              std::string::npos);
+
+    SystemConfig small = channelConfig(1);
+    small.wl.regionBytes = minRegionBytes(small.wl) - lineBytes;
+    EXPECT_NE(reasons(small).find("too small for the undo log"),
+              std::string::npos);
+    small.wl.regionBytes = minRegionBytes(small.wl);
+    EXPECT_EQ(reasons(small), "");
+
+    // Two reasons at once are both reported.
+    SystemConfig both = channelConfig(1, 2, 5);
+    both.dataRegionBase = kCtrBase - (1 << 20);
+    both.wl.regionBytes = 1 << 10;
+    const std::string two = reasons(both);
+    EXPECT_NE(two.find("too small for the undo log"), std::string::npos);
+    EXPECT_NE(two.find("core 1 region"), std::string::npos);
+    EXPECT_NE(two.find("overflows into the counter region"),
+              std::string::npos);
+}
+
 TEST(RegionLayout, StaggeredRegionsStayDisjointAtManyCores)
 {
     // The stride is padded by the maximum stagger, so even a core

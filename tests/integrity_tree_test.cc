@@ -2,7 +2,7 @@
  * @file
  * Tests for the Bonsai Merkle Tree integrity layer and the recovery
  * paths it hardens: tree-hash algebra, crash-flush/recompute root
- * agreement, the multi-match-aware counter-window repair, directed
+ * agreement, the tree reductions against a std::map reference model, the multi-match-aware counter-window repair, directed
  * replay detection (tree on) vs silent replay (MAC-only), the
  * quarantine-race pre-scan determinism contract, replay-dosed sweep
  * fingerprint identity across modes and job counts, and idempotent
@@ -12,13 +12,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/crash_sweep.hh"
 #include "core/recovery.hh"
 #include "core/recovery_crash.hh"
 #include "core/system.hh"
+#include "common/random.hh"
 #include "integrity/integrity_tree.hh"
 #include "nvm/fault_model.hh"
 #include "runner/runner.hh"
@@ -132,6 +135,193 @@ TEST(TreeRoot, ReplayBreaksTheRootAndRebuildRestoresIt)
     EXPECT_EQ(rebuilt, *img.persistedTreeRoot());
     EXPECT_EQ(computeTreeRoot(img, ctr_base), rebuilt);
     EXPECT_NE(rebuilt, flushed);
+}
+
+// --- the reductions against a std::map reference model -------------------
+
+/** One tree level as the reference model keeps it: index -> hash. */
+using NodeMap = std::map<std::uint64_t, std::uint64_t>;
+
+/** Reference 8-ary reduction step: the parents of @p level's nodes,
+ *  absent children standing in for their zero hash. */
+NodeMap
+refReduceLevel(const NodeMap &level, unsigned level_no)
+{
+    NodeMap up;
+    auto it = level.begin();
+    while (it != level.end()) {
+        const std::uint64_t parent = it->first / treeArity;
+        std::uint64_t children[treeArity];
+        for (unsigned c = 0; c < treeArity; ++c)
+            children[c] = treeZeroHash(level_no);
+        while (it != level.end() && it->first / treeArity == parent) {
+            children[it->first % treeArity] = it->second;
+            ++it;
+        }
+        up[parent] = treeCombine(children);
+    }
+    return up;
+}
+
+/** Reference root of a level-1 node map, reduced all the way up. */
+std::uint64_t
+refRootOf(NodeMap level)
+{
+    for (unsigned l = 1; l < treeRootLevel; ++l)
+        level = refReduceLevel(level, l);
+    if (level.empty())
+        return treeZeroHash(treeRootLevel);
+    EXPECT_EQ(level.size(), 1u);
+    EXPECT_EQ(level.begin()->first, 0u);
+    return level.begin()->second;
+}
+
+std::uint64_t
+refCounterLineHash(const CounterLine &values)
+{
+    std::uint64_t slots[treeArity];
+    for (unsigned s = 0; s < countersPerLine; ++s)
+        slots[s] = treeSlotHash(values[s]);
+    return treeCombine(slots);
+}
+
+constexpr Addr kRefCtrBase = Addr(1) << 33;
+
+/** A counter-line index: dense runs, sparse ones, and the top of the
+ *  tree's 2^27-line domain. */
+std::uint64_t
+drawCounterLine(Random &rng)
+{
+    switch (rng.below(3)) {
+      case 0: return rng.below(600);
+      case 1: return rng.below(std::uint64_t(1) << 20);
+      default: return (std::uint64_t(1) << 24) - 1 - rng.below(5000);
+    }
+}
+
+/** One randomized image with its pre-rebuild tree state recorded. */
+struct RandomTreeImage
+{
+    PersistImage img;
+    std::map<std::uint64_t, CounterLine> store; //!< line index -> values
+    /** Persisted nodes before the rebuild, per level. */
+    std::map<unsigned, NodeMap> before;
+
+    explicit RandomTreeImage(std::uint64_t seed)
+    {
+        Random rng(seed);
+        const unsigned lines = 1 + static_cast<unsigned>(rng.below(700));
+        for (unsigned i = 0; i < lines; ++i) {
+            const std::uint64_t index = drawCounterLine(rng);
+            CounterLine values{};
+            for (std::uint64_t &v : values)
+                v = rng.below(4) == 0 ? 0 : rng.next() % 1000;
+            store[index] = values;
+            img.drainCounters(kRefCtrBase + index * lineBytes, values);
+        }
+        // Stray level-1 nodes with no store line (a region another
+        // recovery rebuilt, or evidence left for one), and stale
+        // nodes above level 1 that a rebuild must never read back.
+        auto persist = [&](unsigned level, std::uint64_t index) {
+            const std::uint64_t hash = rng.next();
+            img.drainTreeNode(level, index, hash);
+            before[level][index] = hash;
+        };
+        for (unsigned i = rng.below(40); i > 0; --i) {
+            const std::uint64_t index = drawCounterLine(rng);
+            if (store.count(index) == 0)
+                persist(1, index);
+        }
+        for (unsigned level = 2; level < treeRootLevel; ++level) {
+            for (unsigned i = rng.below(12); i > 0; --i) {
+                // Half of them where the rebuild will recompute.
+                const std::uint64_t index = rng.below(2) == 0
+                    ? drawCounterLine(rng) >> (3 * (level - 1))
+                    : rng.below(std::uint64_t(1) << (27 - 3 * level));
+                persist(level, index);
+            }
+        }
+    }
+};
+
+TEST(TreeReductions, RebuildAndRecomputeMatchTheMapModel)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE(seed);
+        RandomTreeImage t(seed);
+        Random rng(seed * 977);
+
+        // computeTreeRoot reads the store alone.
+        NodeMap store_leaves;
+        for (const auto &[index, values] : t.store)
+            store_leaves[index] = refCounterLineHash(values);
+        EXPECT_EQ(computeTreeRoot(t.img, kRefCtrBase),
+                  refRootOf(store_leaves));
+
+        // A full rebuild, or a regional one over a random window.
+        Addr lo = 0, hi = ~Addr(0);
+        if (seed % 2 == 0) {
+            const std::uint64_t a = drawCounterLine(rng);
+            const std::uint64_t b = drawCounterLine(rng);
+            lo = kRefCtrBase + std::min(a, b) * lineBytes;
+            hi = kRefCtrBase + std::max(a, b) * lineBytes;
+        }
+
+        // The model: level 0/1 for each in-window store line, then the
+        // interior reduced from every persisted level-1 node.
+        std::map<unsigned, NodeMap> want = t.before;
+        for (const auto &[index, values] : t.store) {
+            const Addr addr = kRefCtrBase + index * lineBytes;
+            if (addr < lo || addr >= hi)
+                continue;
+            for (unsigned s = 0; s < countersPerLine; ++s)
+                want[0][index * countersPerLine + s] =
+                    treeSlotHash(values[s]);
+            want[1][index] = refCounterLineHash(values);
+        }
+        NodeMap level = want[1];
+        for (unsigned l = 1; l < treeRootLevel; ++l) {
+            level = refReduceLevel(level, l);
+            if (l + 1 < treeRootLevel)
+                for (const auto &[index, hash] : level)
+                    want[l + 1][index] = hash;
+        }
+        const std::uint64_t want_root = refRootOf(want[1]);
+
+        PersistImage rebuilt = t.img;
+        EXPECT_EQ(rebuildTree(rebuilt, kRefCtrBase, lo, hi), want_root);
+        ASSERT_NE(rebuilt.persistedTreeRoot(), nullptr);
+        EXPECT_EQ(*rebuilt.persistedTreeRoot(), want_root);
+
+        std::vector<std::uint64_t> want_leaves;
+        for (const auto &[index, hash] : want[1])
+            want_leaves.push_back(index);
+        EXPECT_EQ(rebuilt.persistedTreeLeafIndices(), want_leaves);
+        for (const auto &[l, nodes] : want) {
+            for (const auto &[index, hash] : nodes) {
+                const std::uint64_t *got =
+                    rebuilt.persistedTreeNode(l, index);
+                ASSERT_NE(got, nullptr) << "level " << l << " " << index;
+                EXPECT_EQ(*got, hash) << "level " << l << " " << index;
+            }
+        }
+        // Nothing beyond the model's nodes was written: a few probes
+        // next to each expected node find nothing the model lacks.
+        for (const auto &[l, nodes] : want) {
+            for (const auto &[index, hash] : nodes) {
+                if (nodes.count(index + 1) == 0) {
+                    EXPECT_EQ(rebuilt.persistedTreeNode(l, index + 1),
+                              nullptr) << "level " << l;
+                }
+            }
+        }
+
+        // The source image is a snapshot the rebuild never touched.
+        EXPECT_EQ(t.img.persistedTreeRoot(), nullptr);
+        for (const auto &[l, nodes] : t.before)
+            for (const auto &[index, hash] : nodes)
+                EXPECT_EQ(*t.img.persistedTreeNode(l, index), hash);
+    }
 }
 
 // --- multi-match window repair --------------------------------------------

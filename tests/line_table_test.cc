@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for LineTable: a seeded randomized differential test
- * against a std::map reference, plus copy independence, strided
- * iteration and concurrent const lookups.
+ * against a std::map reference, a copy-on-write differential test
+ * over a table and two generations of copies, copy independence,
+ * range and strided iteration, and concurrent const lookups — also
+ * while the owner of a shared page writes it.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -197,6 +200,116 @@ TEST(LineTable, CopiesAreIndependent)
     expectMatches(moved, ref);
 }
 
+/** Applies one random operation to @p table and its reference. */
+void
+randomOp(Random &rng, Table &table, Reference &ref)
+{
+    const std::uint64_t key = drawKey(rng);
+    switch (rng.below(6)) {
+      case 0:
+      case 1: { // store through operator[]
+        const std::uint64_t value = rng.next();
+        table[key] = value;
+        ref[key] = value;
+        break;
+      }
+      case 2: { // write through tryEmplace
+        auto [value, inserted] = table.tryEmplace(key);
+        ASSERT_EQ(inserted, ref.count(key) == 0);
+        value += 3;
+        ref[key] += 3;
+        break;
+      }
+      case 3: { // write through the mutable find
+        std::uint64_t *found = table.find(key);
+        auto it = ref.find(key);
+        ASSERT_EQ(found != nullptr, it != ref.end());
+        if (found != nullptr) {
+            *found ^= 0x5a;
+            it->second ^= 0x5a;
+        }
+        break;
+      }
+      default:
+        ASSERT_EQ(table.erase(key), ref.erase(key) == 1);
+        break;
+    }
+}
+
+TEST(LineTable, CopyOnWriteGenerationsAgainstMaps)
+{
+    for (std::uint64_t seed : {21u, 22u, 23u}) {
+        SCOPED_TRACE(seed);
+        Random rng(seed);
+        Table original;
+        Reference original_ref;
+        for (int op = 0; op < 3000; ++op)
+            randomOp(rng, original, original_ref);
+
+        // Three tables sharing every page; each then diverges under
+        // its own random operations, interleaved so each write may
+        // land on a page one or both of the others still hold.
+        Table copy(original);
+        Reference copy_ref = original_ref;
+        Table grandchild;
+        grandchild = copy;
+        Reference grandchild_ref = copy_ref;
+        Table *tables[] = {&original, &copy, &grandchild};
+        Reference *refs[] = {&original_ref, &copy_ref, &grandchild_ref};
+        for (int op = 0; op < 12000; ++op) {
+            const std::size_t t = rng.below(3);
+            randomOp(rng, *tables[t], *refs[t]);
+            if (op % 3000 == 2999)
+                for (std::size_t u = 0; u < 3; ++u)
+                    expectMatches(*tables[u], *refs[u]);
+            // Now and then a table is re-shared from another.
+            if (op % 4000 == 1234) {
+                const std::size_t from = (t + 1) % 3;
+                *tables[t] = *tables[from];
+                *refs[t] = *refs[from];
+            }
+        }
+        for (std::size_t u = 0; u < 3; ++u)
+            expectMatches(*tables[u], *refs[u]);
+
+        // A table outliving the ones it was copied from keeps its
+        // contents when they go away.
+        original.clear();
+        copy = Table();
+        expectMatches(grandchild, grandchild_ref);
+    }
+}
+
+TEST(LineTable, RangeVisitsInclusiveBoundsInOrder)
+{
+    Random rng(9);
+    Table table;
+    Reference ref;
+    for (int i = 0; i < 4000; ++i) {
+        const std::uint64_t key = drawKey(rng);
+        table[key] = ref[key] = rng.next();
+    }
+    const std::uint64_t chunk_keys =
+        std::uint64_t(Table::pageSlots) * Table::chunkPages;
+    const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+        {0, ~std::uint64_t(0)}, {0, 0}, {5, 5}, {3, 130},
+        {64, 127}, {chunk_keys - 10, chunk_keys + 10},
+        {std::uint64_t(1) << 27, (std::uint64_t(1) << 40) + 50},
+        {~std::uint64_t(0) - 100, ~std::uint64_t(0)}, {200, 100}};
+    for (const auto &[first, last] : ranges) {
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> want;
+        for (const auto &[key, value] : ref)
+            if (key >= first && key <= last)
+                want.emplace_back(key, value);
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
+        table.forEachInRange(first, last,
+                             [&got](std::uint64_t k, std::uint64_t v) {
+                                 got.emplace_back(k, v);
+                             });
+        EXPECT_EQ(got, want) << "[" << first << ", " << last << "]";
+    }
+}
+
 TEST(LineTable, StridedVisitsOneResidueClassInOrder)
 {
     Random rng(5);
@@ -291,6 +404,49 @@ TEST(LineTable, ConcurrentConstLookups)
         EXPECT_EQ(sums[t], want_sum);
     }
     expectMatches(table, ref);
+}
+
+TEST(LineTable, ReadersOfACopyRaceNoWritesOfTheOriginal)
+{
+    // Fork-capture shape: worker threads read (and finally release)
+    // their copies while the owner keeps writing the pages those
+    // copies share. Under TSan any write to a still-shared page, or a
+    // free that is not ordered after the readers, is a reported race.
+    Random rng(31);
+    Table owner;
+    Reference owner_ref;
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t key = drawKey(rng);
+        owner[key] = owner_ref[key] = rng.next();
+    }
+
+    constexpr unsigned readers = 3;
+    std::vector<std::uint64_t> want_sums;
+    std::vector<std::uint64_t> sums(readers, 0);
+    std::vector<std::thread> threads;
+    for (unsigned r = 0; r < readers; ++r) {
+        std::uint64_t want = 0;
+        for (const auto &[key, value] : owner_ref)
+            want += value;
+        want_sums.push_back(want * 4);
+        auto snapshot = std::make_unique<Table>(owner);
+        threads.emplace_back(
+            [&sums, r, snapshot = std::move(snapshot)]() mutable {
+                for (int pass = 0; pass < 4; ++pass)
+                    snapshot->forEach([&](std::uint64_t, std::uint64_t v) {
+                        sums[r] += v;
+                    });
+                snapshot.reset(); // released on the reader thread
+            });
+        // The owner writes while the reader iterates.
+        for (int op = 0; op < 3000; ++op)
+            randomOp(rng, owner, owner_ref);
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (unsigned r = 0; r < readers; ++r)
+        EXPECT_EQ(sums[r], want_sums[r]) << "reader " << r;
+    expectMatches(owner, owner_ref);
 }
 
 } // namespace

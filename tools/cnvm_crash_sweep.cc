@@ -193,6 +193,7 @@ parseArgs(int argc, char **argv)
         for (DesignPoint d : allDesignPoints())
             opt.designs.push_back(d);
     }
+    a.validate(opt.cfg, opt.designs);
     return opt;
 }
 

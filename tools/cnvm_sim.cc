@@ -141,6 +141,7 @@ parseArgs(int argc, char **argv)
         opt.cfg.nvm = NvmTiming::pcm().scaled(read_mult, write_mult);
     if (opt.verify || opt.crashFrac >= 0)
         opt.cfg.wl.recordDigests = true;
+    a.validate(opt.cfg, {opt.cfg.design});
     return opt;
 }
 

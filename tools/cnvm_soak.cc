@@ -182,6 +182,7 @@ parseArgs(int argc, char **argv)
         for (DesignPoint d : allDesignPoints())
             opt.designs.push_back(d);
     }
+    a.validate(opt.cfg, opt.designs);
     return opt;
 }
 

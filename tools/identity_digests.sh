@@ -16,8 +16,12 @@
 # The matrix: `cnvm_sim --stats` for all 7 designs at 1, 4 and 8
 # channels; `cnvm_crash_sweep --fingerprint` with faults, replays and
 # the integrity tree, in replay and fork mode, at --jobs 1 and 4 and
-# --channels 1 and 4; and two `cnvm_soak --fingerprint` chains. A run
-# that exits non-zero gets its exit status appended to its row.
+# --channels 1 and 4; one fork-mode sweep over a 4 MB region, whose
+# persisted image spans more than one LineTable directory chunk (512
+# pages x 64 lines = 2 MB of data lines), so sharing and cloning pages
+# across chunks is pinned too; and two `cnvm_soak --fingerprint`
+# chains. A run that exits non-zero gets its exit status appended to
+# its row.
 
 set -u -o pipefail
 
@@ -63,5 +67,7 @@ for mode in replay fork; do
         done
     done
 done
+row cnvm_crash_sweep --mode fork --footprint-kb 4096 --points 16 --faults \
+    --replays --integrity-tree --fingerprint
 row cnvm_soak --fingerprint
 row cnvm_soak --fingerprint --faults --replays --integrity-tree --channels 4

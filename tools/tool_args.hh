@@ -21,6 +21,8 @@
  *    and the FaultSpec it selects.
  *  - FlagRule / ArgReader::enforce(): cross-flag prerequisites
  *    ("--fault-seed requires --faults") with a uniform diagnostic.
+ *  - ArgReader::validate(): the configuration's own cross-field rules
+ *    (SystemConfig::validate()), checked before any System is built.
  *  - shortDesignName(): the design column of the matrix tables.
  */
 
@@ -36,6 +38,7 @@
 #include <initializer_list>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/config.hh"
 #include "nvm/fault_model.hh"
@@ -192,6 +195,28 @@ class ArgReader
     {
         std::fprintf(stderr, "unknown option '%s'\n", flag_.c_str());
         exitUsage();
+    }
+
+    /**
+     * Checks the cross-field rules of @p cfg (SystemConfig::validate())
+     * under each of @p designs: the first configuration a System would
+     * refuse prints every reason and exits 2, so a well-formed but
+     * inconsistent flag combination is a usage error, not a fatal
+     * error from deep inside the simulation.
+     */
+    void
+    validate(SystemConfig cfg, const std::vector<DesignPoint> &designs)
+    {
+        for (DesignPoint d : designs) {
+            cfg.design = d;
+            const std::vector<std::string> reasons = cfg.validate();
+            if (reasons.empty())
+                continue;
+            for (const std::string &reason : reasons)
+                std::fprintf(stderr, "invalid configuration: %s\n",
+                             reason.c_str());
+            exitUsage();
+        }
     }
 
     /** Checks every rule; the first violation prints a uniform
