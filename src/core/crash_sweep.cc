@@ -1,6 +1,7 @@
 #include "core/crash_sweep.hh"
 
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -58,16 +59,6 @@ constexpr CrashTriggerKind semanticKinds[] = {
 
 } // anonymous namespace
 
-const char *
-sweepModeName(SweepMode mode)
-{
-    switch (mode) {
-      case SweepMode::Replay: return "replay";
-      case SweepMode::Fork: return "fork";
-    }
-    return "?";
-}
-
 SweepProbe
 probeRun(const SystemConfig &cfg)
 {
@@ -83,7 +74,8 @@ probeRun(const SystemConfig &cfg)
 }
 
 std::vector<CrashSpec>
-planSweep(const SweepProbe &probe, unsigned points, bool semantic_triggers)
+planSweep(const SweepProbe &probe, unsigned points, bool semantic_triggers,
+          const FaultSpec &faults)
 {
     cnvm_assert(probe.endTick > 0);
 
@@ -124,12 +116,15 @@ planSweep(const SweepProbe &probe, unsigned points, bool semantic_triggers)
             }
         }
     }
+    if (faults.any()) {
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            specs[i].faults = faults.forPoint(i);
+    }
     return specs;
 }
 
 SweepPoint
-runSweepPoint(const SystemConfig &cfg, const CrashSpec &spec,
-              bool collect_stats, unsigned recovery_jobs)
+runSweepPoint(const SystemConfig &cfg, const CrashSpec &spec)
 {
     SweepPoint point;
     point.spec = spec;
@@ -140,14 +135,8 @@ runSweepPoint(const SystemConfig &cfg, const CrashSpec &spec,
     point.snapshot = sys.crashSnapshot();
 
     if (point.crashed) {
-        for (const OracleReport &report : sys.examineAll(recovery_jobs))
+        for (const OracleReport &report : sys.examineAll())
             accumulate(point, report);
-    }
-
-    if (collect_stats) {
-        std::ostringstream os;
-        sys.statsRegistry().dump(os);
-        point.statsDump = os.str();
     }
     return point;
 }
@@ -161,15 +150,8 @@ classifyFork(const System &trunk, const CrashSpec &spec,
     point.crashed = true;
     point.snapshot = fork.snapshot;
 
-    // An inner pool for the recovery pre-scan, when asked for: a
-    // fork-mode worker thread classifying this fork may itself shard
-    // the per-line MAC verification.
-    std::unique_ptr<WorkPool> pool;
     RecoveryOptions ropt;
-    if (recovery_jobs != 1) {
-        pool = std::make_unique<WorkPool>(recovery_jobs);
-        ropt.pool = pool.get();
-    }
+    ropt.jobs = recovery_jobs;
 
     CrashOracle oracle(fork.image, trunk.controller());
     for (unsigned c = 0; c < trunk.numCores(); ++c) {
@@ -180,21 +162,23 @@ classifyFork(const System &trunk, const CrashSpec &spec,
     return point;
 }
 
-namespace
+SweepResult
+runSweep(const SystemConfig &cfg, const SweepOptions &opt, WorkPool *pool)
 {
+    SweepResult result;
+    result.probe = probeRun(cfg);
+    const std::vector<CrashSpec> plan = planSweep(
+        result.probe, opt.points, opt.semanticTriggers, opt.faults);
 
-/**
- * Fork-mode Execute: arm the whole plan on one trunk System; every
- * firing spec captures a PersistFork and is classified off-trunk on
- * the pool, pipelined with the still-running trunk. Points whose
- * trigger never fires keep their preset unreached state — the same
- * semantics a Replay run that completes before its trigger has.
- */
-void
-executeForkSweep(const SystemConfig &cfg,
-                 const std::vector<CrashSpec> &plan, WorkPool &pool,
-                 unsigned recovery_jobs, SweepResult &result)
-{
+    std::optional<WorkPool> local;
+    if (pool == nullptr)
+        pool = &local.emplace(opt.jobs);
+
+    // Arm the whole plan on one trunk System; every firing spec
+    // captures a PersistFork and is classified off-trunk on the pool,
+    // pipelined with the still-running trunk. Points whose trigger
+    // never fires keep their preset unreached state, as a dedicated
+    // run that completes before its trigger would.
     result.points.resize(plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i)
         result.points[i].spec = plan[i];
@@ -206,72 +190,14 @@ executeForkSweep(const SystemConfig &cfg,
             // callback returns (the trunk resumes) while a worker may
             // still be classifying.
             auto owned = std::make_shared<PersistFork>(std::move(fork));
-            pool.submit([&trunk, &plan, &result, i, owned,
-                         recovery_jobs]() {
+            pool->submit([&trunk, &plan, &result, &opt, i, owned]() {
                 result.points[i] = classifyFork(trunk, plan[i], *owned,
-                                                recovery_jobs);
+                                                opt.recoveryJobs);
             });
         });
     // The trunk has finished; drain the classification tail before it
     // goes out of scope (classifyFork reads its immutable config).
-    pool.waitSubmitted();
-}
-
-} // anonymous namespace
-
-SweepResult
-runSweep(const SystemConfig &cfg, const SweepOptions &opt, WorkPool *pool)
-{
-    SweepResult result;
-    result.probe = probeRun(cfg);
-    std::vector<CrashSpec> plan =
-        planSweep(result.probe, opt.points, opt.semanticTriggers);
-
-    // Fault sweeps dose every point identically but seed each point's
-    // fault RNG from (base seed, plan index), so the whole sweep is a
-    // pure function of the configuration and the base seed — in both
-    // Execute modes, at any job count.
-    if (opt.faults.any()) {
-        for (std::size_t i = 0; i < plan.size(); ++i)
-            plan[i].faults = opt.faults.forPoint(i);
-    }
-
-    if (opt.mode == SweepMode::Fork) {
-        if (pool != nullptr) {
-            executeForkSweep(cfg, plan, *pool, opt.recoveryJobs, result);
-        } else {
-            WorkPool local(opt.jobs);
-            executeForkSweep(cfg, plan, local, opt.recoveryJobs, result);
-        }
-        return result;
-    }
-
-    if (pool == nullptr && opt.jobs == 1) {
-        // Serial reference path: identical to the historical loop.
-        result.points.reserve(plan.size());
-        for (const CrashSpec &spec : plan)
-            result.points.push_back(
-                runSweepPoint(cfg, spec, opt.collectStatsDumps,
-                              opt.recoveryJobs));
-        return result;
-    }
-
-    // Each point owns its System/CrashInjector/CrashOracle, so the
-    // Execute phase is embarrassingly parallel; map() collects each
-    // SweepPoint into its plan-order slot, keeping fingerprint()
-    // byte-identical to the serial path at any job count.
-    auto execute = [&](WorkPool &p) {
-        result.points = p.map<SweepPoint>(plan.size(), [&](std::size_t i) {
-            return runSweepPoint(cfg, plan[i], opt.collectStatsDumps,
-                                 opt.recoveryJobs);
-        });
-    };
-    if (pool != nullptr) {
-        execute(*pool);
-    } else {
-        WorkPool local(opt.jobs);
-        execute(local);
-    }
+    pool->waitSubmitted();
     return result;
 }
 

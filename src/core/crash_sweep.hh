@@ -15,28 +15,17 @@
  *     the crash to states (mid-pipeline, mid-pairing, mid-eviction)
  *     that tick-fraction sampling hits only by luck.
  *
- *  3. Execute, in one of two modes (SweepOptions::mode):
- *
- *     - Replay (the reference): one fresh System per point, same seed,
- *       crash armed at that point, then recover and classify with the
- *       CrashOracle. Each point owns its System, CrashInjector and
- *       CrashOracle, so points are independent and the Execute phase
- *       fans out over a WorkPool (SweepOptions::jobs); results are
- *       merged in plan order, so the outcome is byte-identical to the
- *       serial loop at any job count.
- *
- *     - Fork: ONE trunk System runs with every planned spec armed at
- *       once; each firing captures a PersistFork (persisted image with
- *       the ADR drain overlaid, controller snapshot, frozen digest
- *       logs) and the trunk keeps going. Forks are classified
- *       off-trunk by classifyFork(), pipelined over the WorkPool
- *       while the trunk is still producing. K points cost one
- *       simulation plus K recoveries instead of K simulations — yet
- *       because recovery depends only on persisted state (paper
- *       section 2.2.2) and capture is side-effect free, the
- *       fingerprint is byte-identical to Replay's. The one Replay
- *       feature fork mode cannot offer is collectStatsDumps: a
- *       per-point stats dump is the property of a full dedicated run.
+ *  3. Execute: ONE trunk System runs with every planned spec armed
+ *     at once; each firing captures a PersistFork (persisted image
+ *     with the ADR drain overlaid, controller snapshot, frozen digest
+ *     logs) and the trunk keeps going. Forks are classified off-trunk
+ *     by classifyFork(), pipelined over a WorkPool while the trunk is
+ *     still producing, and merged in plan order. K points cost one
+ *     simulation plus K recoveries instead of K simulations. Because
+ *     recovery depends only on persisted state (paper section 2.2.2)
+ *     and capture is side-effect free, every point classifies exactly
+ *     as a dedicated crashed run of its spec (runSweepPoint) would;
+ *     the tests hold the sweep to that replay reference.
  *
  * Everything is derived from the configuration and the probe, so a
  * sweep is exactly reproducible for a fixed seed — fingerprint()
@@ -103,21 +92,7 @@ struct SweepPoint
      *  ground-truth replayed lines vs. replays recovery caught. */
     std::uint64_t replayedLines = 0;
     std::uint64_t replaysDetected = 0;
-
-    /** Full stats dump of the point's System, collected only when
-     *  SweepOptions::collectStatsDumps is set (determinism checks). */
-    std::string statsDump;
 };
-
-/** Execute-phase strategy (see the file header). */
-enum class SweepMode
-{
-    Replay, //!< one dedicated crashed simulation per point (reference)
-    Fork,   //!< one trunk run; capture persistent-state forks, classify
-            //!< them off-trunk
-};
-
-const char *sweepModeName(SweepMode mode);
 
 /** How to run a sweep (step 2 shape and step 3 execution). */
 struct SweepOptions
@@ -127,22 +102,13 @@ struct SweepOptions
     /** False restricts the plan to absolute ticks (legacy sampling). */
     bool semanticTriggers = true;
 
-    /** Execute-phase strategy. Fork is the fast path; Replay the
-     *  reference it is regression-tested against. */
-    SweepMode mode = SweepMode::Replay;
-
     /**
-     * Concurrency of the Execute phase. 1 is the serial reference
-     * loop; 0 asks for WorkPool::hardwareJobs(). Results are merged
-     * in plan order, so fingerprints and stats are identical at any
-     * value.
+     * Concurrency of the Execute phase's fork classification. 1
+     * classifies each fork inline on the trunk's thread; 0 asks for
+     * WorkPool::hardwareJobs(). Results are merged in plan order, so
+     * fingerprints are identical at any value.
      */
     unsigned jobs = 1;
-
-    /** Capture each point's full stats dump into SweepPoint.
-     *  Replay mode only: a fork has no dedicated System to dump, so
-     *  fork-mode points leave statsDump empty. */
-    bool collectStatsDumps = false;
 
     /**
      * Concurrency of each point's recovery (the integrity pre-scan
@@ -156,8 +122,8 @@ struct SweepOptions
     /**
      * Base fault dose. When any() is set, every planned point gets
      * this dose with a per-point seed derived from faults.seed and
-     * the plan index (FaultSpec::forPoint) — deterministic across
-     * Replay/Fork modes and any job count. Default: clean crashes.
+     * the plan index (see planSweep) — deterministic at any job
+     * count. Default: clean crashes.
      */
     FaultSpec faults;
 };
@@ -252,35 +218,42 @@ SweepProbe probeRun(const SystemConfig &cfg);
 /**
  * Plans @p points crash specs from a probe (step 2). Set
  * @p semantic_triggers false to restrict the plan to absolute ticks
- * (the legacy tick-fraction sampling, for comparison).
+ * (the legacy tick-fraction sampling, for comparison). When
+ * @p faults is set, spec i carries faults.forPoint(i): the same dose
+ * on every point, with a per-point seed derived from (base seed, plan
+ * index), so a dosed sweep stays a pure function of the configuration
+ * and the base seed.
  */
 std::vector<CrashSpec> planSweep(const SweepProbe &probe, unsigned points,
-                                 bool semantic_triggers = true);
-
-/** Executes one planned crash point against a fresh System (step 3,
- *  Replay mode). */
-SweepPoint runSweepPoint(const SystemConfig &cfg, const CrashSpec &spec,
-                         bool collect_stats = false,
-                         unsigned recovery_jobs = 1);
+                                 bool semantic_triggers = true,
+                                 const FaultSpec &faults = {});
 
 /**
- * Classifies one captured crash point off-trunk (step 3, Fork mode):
+ * Runs one crash point as a dedicated crashed simulation of a fresh
+ * System, then recovers and classifies it. The sweep's Execute phase
+ * classifies forks instead; this is the one-point primitive that
+ * classifyFork() must agree with.
+ */
+SweepPoint runSweepPoint(const SystemConfig &cfg, const CrashSpec &spec);
+
+/**
+ * Classifies one captured crash point off-trunk (step 3):
  * recovery + oracle census over the fork's persisted image and frozen
  * digest logs. Reads only immutable configuration from @p trunk (the
  * controller's design/layout/engine and each workload's region
  * layout), so it is safe to call from a worker thread while the trunk
- * is still simulating. Produces the same SweepPoint a Replay-mode
- * runSweepPoint() of @p spec would.
+ * is still simulating. Produces the same SweepPoint runSweepPoint() of
+ * @p spec would. @p recovery_jobs shards each recovery's integrity
+ * pre-scan (RecoveryOptions::jobs).
  */
 SweepPoint classifyFork(const System &trunk, const CrashSpec &spec,
                         const PersistFork &fork,
                         unsigned recovery_jobs = 1);
 
 /**
- * Probe + plan + execute. When @p pool is given it runs the Execute
- * phase (its jobs() overrides @p opt.jobs); otherwise a pool is
- * created per SweepOptions::jobs, with jobs == 1 staying the plain
- * serial loop.
+ * Probe + plan + execute. When @p pool is given it classifies the
+ * forks (its jobs() overrides @p opt.jobs); otherwise a pool of
+ * SweepOptions::jobs is created for the sweep.
  */
 SweepResult runSweep(const SystemConfig &cfg, const SweepOptions &opt,
                      WorkPool *pool = nullptr);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
+#include <optional>
 
 #include "common/logging.hh"
 #include "core/recovery_crash.hh"
@@ -314,16 +314,13 @@ RecoveryEngine::recover(const Workload &workload,
     // no corruption can hide in a line the log/validate/digest pipeline
     // happens not to read. Mismatches repair or quarantine here; the
     // later stages then run on a verified (or explicitly degraded)
-    // image. Sharded over the pool when one is configured.
+    // image. Sharded over a pool of opt.jobs when that is not 1.
     if (ctl.config().integrityMac) {
-        WorkPool *pool = opt.pool;
-        std::unique_ptr<WorkPool> local;
-        if (pool == nullptr && opt.jobs != 1) {
-            local = std::make_unique<WorkPool>(opt.jobs);
-            pool = local.get();
-        }
-        image.preScan(workload.regionBase(), workload.regionEnd(), pool,
-                      opt.crash);
+        std::optional<WorkPool> pool;
+        if (opt.jobs != 1)
+            pool.emplace(opt.jobs);
+        image.preScan(workload.regionBase(), workload.regionEnd(),
+                      pool ? &*pool : nullptr, opt.crash);
     }
 
     runRecovery(image, workload, digests_in, opt, report);

@@ -276,9 +276,6 @@ struct RecoveryOptions
      *  byte-identical at any value (see RecoveredImage::preScan). */
     unsigned jobs = 1;
 
-    /** Optional external pool for the pre-scan; overrides jobs. */
-    WorkPool *pool = nullptr;
-
     /**
      * Write-back mode: persist every restoration recovery makes —
      * rolled-back lines re-encrypted at their stored counters (MAC

@@ -222,13 +222,10 @@ runRecoveryCrashSweep(const SystemConfig &cfg,
 
     // Capture the crashed images: probe, plan, one fork-capture trunk
     // run — the same machinery (and the same per-point fault seeding)
-    // as a fork-mode crash sweep.
+    // as a crash sweep.
     SweepProbe probe = probeRun(cfg);
     std::vector<CrashSpec> plan =
-        planSweep(probe, opt.images, opt.semanticTriggers);
-    if (opt.faults.any())
-        for (std::size_t i = 0; i < plan.size(); ++i)
-            plan[i].faults = opt.faults.forPoint(i);
+        planSweep(probe, opt.images, opt.semanticTriggers, opt.faults);
 
     std::vector<std::shared_ptr<PersistFork>> captured(plan.size());
     System trunk(cfg);

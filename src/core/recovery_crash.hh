@@ -134,7 +134,7 @@ struct RecoveryCrashOptions
     /** Interruption points, distributed over the captured images. */
     unsigned points = 40;
 
-    /** Crashed images to capture (fork mode, one trunk run). */
+    /** Crashed images to capture (one fork-capture trunk run). */
     unsigned images = 8;
 
     /** Interrupted attempts per point before the completing one. An

@@ -6,7 +6,6 @@
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "integrity/integrity_tree.hh"
-#include "runner/runner.hh"
 
 namespace cnvm
 {
@@ -524,14 +523,10 @@ System::runWithForkCapture(const std::vector<CrashSpec> &specs,
 std::vector<RecoveryReport>
 System::recoverAll(unsigned recovery_jobs)
 {
-    // One pool shared across the per-core recoveries (the pre-scan
-    // within each recovery is what parallelizes; cores stay in order).
-    std::unique_ptr<WorkPool> pool;
+    // The pre-scan within each recovery is what parallelizes; cores
+    // stay in order.
     RecoveryOptions ropt;
-    if (recovery_jobs != 1) {
-        pool = std::make_unique<WorkPool>(recovery_jobs);
-        ropt.pool = pool.get();
-    }
+    ropt.jobs = recovery_jobs;
 
     RecoveryEngine engine(nvmDev, controller());
     std::vector<RecoveryReport> reports;
@@ -542,20 +537,13 @@ System::recoverAll(unsigned recovery_jobs)
 }
 
 std::vector<OracleReport>
-System::examineAll(unsigned recovery_jobs)
+System::examineAll()
 {
-    std::unique_ptr<WorkPool> pool;
-    RecoveryOptions ropt;
-    if (recovery_jobs != 1) {
-        pool = std::make_unique<WorkPool>(recovery_jobs);
-        ropt.pool = pool.get();
-    }
-
     CrashOracle oracle(nvmDev, controller());
     std::vector<OracleReport> reports;
     reports.reserve(workloads.size());
     for (auto &wl : workloads)
-        reports.push_back(oracle.examine(*wl, nullptr, ropt));
+        reports.push_back(oracle.examine(*wl));
     return reports;
 }
 

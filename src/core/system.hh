@@ -160,7 +160,7 @@ class System
     std::vector<RecoveryReport> recoverAll(unsigned recovery_jobs = 1);
 
     /** Recovers and classifies every core's region (crash oracle). */
-    std::vector<OracleReport> examineAll(unsigned recovery_jobs = 1);
+    std::vector<OracleReport> examineAll();
 
     /** Aggregate: true iff every region recovered consistently. */
     bool recoveredConsistently(std::string *first_failure = nullptr);

@@ -484,8 +484,8 @@ class MemController : public MemBackend
      * Lazy integrity-tree update state (cfg.integrityTree): level-1
      * leaf indexes dirtied by counter persists since the last epoch
      * write-back. An ordered set — the write-back charges traffic in
-     * index order, and determinism here is what keeps tree-enabled
-     * sweep fingerprints identical across Replay/Fork modes.
+     * index order, and determinism here is what keeps a tree-enabled
+     * fork classifying exactly as a dedicated crashed run.
      */
     std::set<std::uint64_t> dirtyTreeLeaves;
 

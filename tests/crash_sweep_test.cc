@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "core/crash_sweep.hh"
+#include "replay_reference.hh"
 #include "sim/trigger.hh"
 
 namespace cnvm
@@ -118,6 +119,25 @@ TEST(PlanSweep, IsDeterministic)
         EXPECT_EQ(a[i].describe(), b[i].describe());
 }
 
+TEST(PlanSweep, StampsEachPointWithItsOwnFaultSeed)
+{
+    // planSweep owns the per-point seeding rule: spec i carries
+    // dose.forPoint(i), the same plan a caller gets by stamping an
+    // undosed plan itself; a clean dose leaves every spec clean.
+    FaultSpec dose = FaultSpec::allKindsWithReplays(9);
+    auto dosed = planSweep(fakeProbe(), 12, true, dose);
+    auto clean = planSweep(fakeProbe(), 12);
+    ASSERT_EQ(dosed.size(), clean.size());
+    for (std::size_t i = 0; i < dosed.size(); ++i) {
+        EXPECT_FALSE(clean[i].faults.any());
+        CrashSpec stamped = clean[i];
+        stamped.faults = dose.forPoint(i);
+        EXPECT_EQ(dosed[i].describe(), stamped.describe());
+        EXPECT_EQ(dosed[i].faults.seed, stamped.faults.seed);
+    }
+    EXPECT_NE(dosed[0].faults.seed, dosed[1].faults.seed);
+}
+
 TEST(PlanSweep, TicksOnlyModeUsesNoSemanticTriggers)
 {
     auto specs = planSweep(fakeProbe(), 8, /*semantic_triggers=*/false);
@@ -188,32 +208,23 @@ TEST(CrashSweepEndToEnd, FingerprintIsDeterministic)
 TEST(CrashSweepEndToEnd, ParallelExecuteIsByteIdenticalToSerial)
 {
     // The work-pool Execute phase must be invisible in the results:
-    // sweep fingerprints and every point's full stats dump must be
-    // byte-identical across --jobs 1/2/8 for each design.
+    // sweep fingerprints must be byte-identical across --jobs 1/2/8
+    // for each design.
     for (DesignPoint d : {DesignPoint::ColocatedCC, DesignPoint::FCA,
                           DesignPoint::SCA, DesignPoint::Unsafe}) {
         SystemConfig cfg = smallConfig(d);
 
         std::string fingerprints[3];
-        std::string stats[3];
         const unsigned jobs_values[3] = {1, 2, 8};
         for (int i = 0; i < 3; ++i) {
             SweepOptions opt;
             opt.points = 6;
             opt.jobs = jobs_values[i];
-            opt.collectStatsDumps = true;
-            SweepResult result = runSweep(cfg, opt);
-            fingerprints[i] = result.fingerprint();
-            for (const SweepPoint &p : result.points) {
-                EXPECT_FALSE(p.statsDump.empty());
-                stats[i] += p.statsDump;
-            }
+            fingerprints[i] = runSweep(cfg, opt).fingerprint();
         }
         EXPECT_FALSE(fingerprints[0].empty()) << designName(d);
         EXPECT_EQ(fingerprints[0], fingerprints[1]) << designName(d);
         EXPECT_EQ(fingerprints[0], fingerprints[2]) << designName(d);
-        EXPECT_EQ(stats[0], stats[1]) << designName(d);
-        EXPECT_EQ(stats[0], stats[2]) << designName(d);
     }
 }
 
@@ -284,25 +295,21 @@ TEST(CrashSweepEndToEnd, UnreachedTriggerMeansNoCrash)
 
 TEST(ForkSweep, ForkMatchesReplayFingerprintAllDesigns)
 {
-    // The tentpole contract: mode=Fork classifies from captured
-    // persistent-state forks of one trunk run, yet its fingerprint is
-    // byte-identical to the K-replay reference — for every design,
-    // serial and pipelined alike.
+    // The sweep classifies captured persistent-state forks of one
+    // trunk run, yet its fingerprint is byte-identical to the K-replay
+    // reference — for every design, serial and pipelined alike.
     for (DesignPoint d : {DesignPoint::ColocatedCC, DesignPoint::FCA,
                           DesignPoint::SCA, DesignPoint::Unsafe}) {
         SystemConfig cfg = smallConfig(d);
 
-        SweepOptions replay;
-        replay.points = 8;
-        std::string reference = runSweep(cfg, replay).fingerprint();
+        SweepOptions opt;
+        opt.points = 8;
+        std::string reference = replaySweep(cfg, opt).fingerprint();
         ASSERT_FALSE(reference.empty()) << designName(d);
 
         for (unsigned jobs : {1u, 4u}) {
-            SweepOptions fork;
-            fork.points = 8;
-            fork.mode = SweepMode::Fork;
-            fork.jobs = jobs;
-            EXPECT_EQ(runSweep(cfg, fork).fingerprint(), reference)
+            opt.jobs = jobs;
+            EXPECT_EQ(runSweep(cfg, opt).fingerprint(), reference)
                 << designName(d) << " jobs=" << jobs;
         }
     }
@@ -324,12 +331,9 @@ TEST(ForkSweep, CaptureDoesNotPerturbTrunk)
 
     SweepProbe probe = probeRun(cfg);
     for (bool with_faults : {false, true}) {
-        std::vector<CrashSpec> plan = planSweep(probe, 9);
-        if (with_faults) {
-            FaultSpec dose = FaultSpec::allKinds(7);
-            for (std::size_t i = 0; i < plan.size(); ++i)
-                plan[i].faults = dose.forPoint(i);
-        }
+        std::vector<CrashSpec> plan = planSweep(
+            probe, 9, true,
+            with_faults ? FaultSpec::allKinds(7) : FaultSpec{});
         unsigned captured = 0;
         std::uint64_t faulted = 0;
         System trunk(cfg);

@@ -4,9 +4,22 @@
 # printed the right words and then ran anyway (or crashed) would pass.
 #
 #   cmake -DREGEX=<regex> -P expect_usage_error.cmake -- <tool> <args>...
+#
+# A gate failure that is not a usage error is checked the same way with
+# -DSTATUS=<exit status> and -DSTREAM=stdout (the stream REGEX must
+# match; stderr by default).
 
 if(NOT DEFINED REGEX)
     message(FATAL_ERROR "expect_usage_error: pass -DREGEX=<regex>")
+endif()
+if(NOT DEFINED STATUS)
+    set(STATUS 2)
+endif()
+if(NOT DEFINED STREAM)
+    set(STREAM stderr)
+endif()
+if(NOT STREAM MATCHES "^(stdout|stderr)$")
+    message(FATAL_ERROR "expect_usage_error: STREAM is stdout or stderr")
 endif()
 
 set(cmd)
@@ -35,11 +48,16 @@ execute_process(COMMAND ${cmd}
     ERROR_VARIABLE err
     TIMEOUT 60)
 
-if(NOT status STREQUAL "2")
-    message(FATAL_ERROR "expected exit status 2, got '${status}'\n"
+if(NOT status STREQUAL "${STATUS}")
+    message(FATAL_ERROR "expected exit status ${STATUS}, got '${status}'\n"
                         "command: ${cmd}\nstderr:\n${err}")
 endif()
-if(NOT err MATCHES "${REGEX}")
-    message(FATAL_ERROR "stderr does not match '${REGEX}'\n"
-                        "command: ${cmd}\nstderr:\n${err}")
+if(STREAM STREQUAL "stdout")
+    set(text "${out}")
+else()
+    set(text "${err}")
+endif()
+if(NOT text MATCHES "${REGEX}")
+    message(FATAL_ERROR "${STREAM} does not match '${REGEX}'\n"
+                        "command: ${cmd}\n${STREAM}:\n${text}")
 endif()

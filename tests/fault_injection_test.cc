@@ -16,6 +16,7 @@
 #include "core/recovery.hh"
 #include "core/system.hh"
 #include "nvm/fault_model.hh"
+#include "replay_reference.hh"
 
 namespace cnvm
 {
@@ -241,26 +242,22 @@ TEST(IntegrityMac, WithoutMacsTheSameCorruptionIsInvisible)
 TEST(FaultSweep, FingerprintIdenticalAcrossModesAndJobs)
 {
     // Satellite contract: the fault dose is a pure function of the
-    // base seed and the plan index, so the same sweep fingerprints
-    // byte-identically in Replay and Fork mode at any job count.
+    // base seed and the plan index, so the fork sweep fingerprints
+    // byte-identically to the replay reference at any job count.
     SystemConfig cfg = smallConfig(DesignPoint::SCA);
     cfg.memctl.integrityMac = true;
 
-    SweepOptions ref_opt;
-    ref_opt.points = 8;
-    ref_opt.faults = FaultSpec::allKinds(42);
-    std::string ref = runSweep(cfg, ref_opt).fingerprint();
+    SweepOptions opt;
+    opt.points = 8;
+    opt.faults = FaultSpec::allKinds(42);
+    std::string ref = replaySweep(cfg, opt).fingerprint();
     ASSERT_FALSE(ref.empty());
     EXPECT_NE(ref.find("+f("), std::string::npos);
 
-    for (SweepMode mode : {SweepMode::Replay, SweepMode::Fork}) {
-        for (unsigned jobs : {1u, 4u}) {
-            SweepOptions opt = ref_opt;
-            opt.mode = mode;
-            opt.jobs = jobs;
-            EXPECT_EQ(runSweep(cfg, opt).fingerprint(), ref)
-                << sweepModeName(mode) << " jobs=" << jobs;
-        }
+    for (unsigned jobs : {1u, 4u}) {
+        opt.jobs = jobs;
+        EXPECT_EQ(runSweep(cfg, opt).fingerprint(), ref)
+            << "jobs=" << jobs;
     }
 }
 
@@ -289,7 +286,6 @@ TEST(FaultSweep, IntegrityOnNothingIsSilent)
 
         SweepOptions opt;
         opt.points = 8;
-        opt.mode = SweepMode::Fork;
         opt.jobs = 4;
         opt.faults = FaultSpec::allKinds(1);
         SweepResult result = runSweep(cfg, opt);
@@ -323,7 +319,6 @@ TEST(FaultSweep, IntegrityOffProducesSilentCorruption)
 
     SweepOptions opt;
     opt.points = 10;
-    opt.mode = SweepMode::Fork;
     opt.jobs = 4;
     opt.faults = FaultSpec::allKinds(1);
     SweepResult result = runSweep(cfg, opt);

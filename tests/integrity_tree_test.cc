@@ -24,6 +24,7 @@
 #include "common/random.hh"
 #include "integrity/integrity_tree.hh"
 #include "nvm/fault_model.hh"
+#include "replay_reference.hh"
 #include "runner/runner.hh"
 
 namespace cnvm
@@ -486,7 +487,6 @@ TEST(ReplaySweep, TreeOnNothingSilentAndReplaysCaught)
 {
     SweepOptions opt;
     opt.points = 20;
-    opt.mode = SweepMode::Fork;
     opt.faults = FaultSpec::allKindsWithReplays(7);
     SweepResult r = runSweep(treeConfig(DesignPoint::SCA), opt);
 
@@ -503,7 +503,6 @@ TEST(ReplaySweep, MacOnlyLetsReplaysThroughSilently)
 
     SweepOptions opt;
     opt.points = 20;
-    opt.mode = SweepMode::Fork;
     opt.faults = FaultSpec::allKindsWithReplays(7);
     SweepResult r = runSweep(cfg, opt);
 
@@ -514,29 +513,25 @@ TEST(ReplaySweep, MacOnlyLetsReplaysThroughSilently)
 
 TEST(ReplaySweep, FingerprintIdenticalAcrossModesAndJobs)
 {
-    // The tree-enabled extension of the PR-5 contract: a replay-dosed
-    // sweep fingerprints byte-identically in Replay and Fork mode at
-    // any jobs / recovery-jobs combination.
+    // The tree-enabled extension of the fault-sweep contract: a
+    // replay-dosed fork sweep fingerprints byte-identically to the
+    // replay reference at any jobs / recovery-jobs combination.
     SystemConfig cfg = treeConfig(DesignPoint::SCA);
 
-    SweepOptions ref_opt;
-    ref_opt.points = 8;
-    ref_opt.faults = FaultSpec::allKindsWithReplays(42);
-    std::string ref = runSweep(cfg, ref_opt).fingerprint();
+    SweepOptions opt;
+    opt.points = 8;
+    opt.faults = FaultSpec::allKindsWithReplays(42);
+    std::string ref = replaySweep(cfg, opt).fingerprint();
     ASSERT_FALSE(ref.empty());
     EXPECT_NE(ref.find("+f("), std::string::npos);
     // Replayed lines annotate the fingerprint (the `p` atom).
     EXPECT_NE(ref.find("p"), std::string::npos);
 
-    for (SweepMode mode : {SweepMode::Replay, SweepMode::Fork}) {
-        for (unsigned jobs : {1u, 4u}) {
-            SweepOptions opt = ref_opt;
-            opt.mode = mode;
-            opt.jobs = jobs;
-            opt.recoveryJobs = jobs;
-            EXPECT_EQ(runSweep(cfg, opt).fingerprint(), ref)
-                << sweepModeName(mode) << " jobs=" << jobs;
-        }
+    for (unsigned jobs : {1u, 4u}) {
+        opt.jobs = jobs;
+        opt.recoveryJobs = jobs;
+        EXPECT_EQ(runSweep(cfg, opt).fingerprint(), ref)
+            << "jobs=" << jobs;
     }
 }
 

@@ -573,7 +573,6 @@ expectRecoveryIdenticalAtAnyJobCount(DesignPoint design)
 
         SweepOptions sweep;
         sweep.points = 6;
-        sweep.mode = SweepMode::Fork;
         sweep.faults = FaultSpec::allKinds(1);
         sweep.recoveryJobs = jobs;
         sweep_fps.push_back(runSweep(cfg, sweep).fingerprint());

@@ -8,8 +8,8 @@
 # directions, CLI usage-contract smokes, a
 # ThreadSanitizer pass over the parallel sweep and recovery paths
 # (replay-dosed pre-scan and the 4-channel fork capture included), and
-# a Release pass: fork-mode sweep smokes plus the benchmark harness
-# selftest (perfbench/run.py --selftest).
+# a Release pass: sweep smokes plus the benchmark harness selftest
+# (perfbench/run.py --selftest).
 #
 #   tools/ci.sh [build-dir] [release-build-dir] [tsan-build-dir]
 #
@@ -62,17 +62,18 @@ done
 # Sweep smoke with the pooled Execute phase: --jobs 4 regardless of
 # host width — the point is to exercise the parallel path, and the
 # fingerprint-identity tests in the suite (CrashSweepEndToEnd,
-# ForkSweep) pin its results to the serial reference.
+# ForkSweep) pin its results to --jobs 1 and to the test-side replay
+# reference (one dedicated crashed simulation per point).
 "$build/tools/cnvm_crash_sweep" --points 20 --jobs 4
 
 # Fault-injection smoke under ASan+UBSan, both gate directions: with
 # integrity MACs the sweep must stay free of silent corruption; without
 # them the same dose must demonstrate at least one silent point (both
 # are part of the tool's exit status).
-"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 --mode fork \
+"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 \
     --faults --integrity \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
-"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 --mode fork \
+"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 \
     --faults \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 
@@ -83,10 +84,10 @@ done
 # rebuild persisted node maps at crash capture and during recovery —
 # exactly where an off-by-one leaf index or a stale root pointer would
 # hide.
-"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 --mode fork \
+"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 \
     --faults --replays --integrity-tree \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
-"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 --mode fork \
+"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 \
     --faults --replays --integrity \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 
@@ -110,16 +111,16 @@ done
 # prefix walking off its queue tail or a tree rebuilt over a partial
 # drain would hide.
 "$build/tools/cnvm_crash_sweep" --points 12 --channels 4 --jobs 4 \
-    --mode fork --faults --replays --integrity-tree \
+    --faults --replays --integrity-tree \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 
 # Parallel recovery under ASan+UBSan: the sharded integrity pre-scan
-# (--recovery-jobs) inside a pooled fork-mode sweep, and the
+# (--recovery-jobs) inside a pooled sweep, and the
 # crash-during-recovery idempotence family (interrupted write-back
 # attempts re-run to convergence). The write-back paths re-encrypt and
 # re-persist lines — exactly where a stale cache iterator or an
 # out-of-bounds MAC write would hide.
-"$build/tools/cnvm_crash_sweep" --points 10 --jobs 4 --mode fork \
+"$build/tools/cnvm_crash_sweep" --points 10 --jobs 4 \
     --recovery-jobs 4 --faults --integrity \
     --design SCA --design Unsafe
 "$build/tools/cnvm_crash_sweep" --points 8 --recovery-crashes 16 \
@@ -127,11 +128,10 @@ done
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 
 # ThreadSanitizer over the concurrent paths: the runner unit tests and
-# a parallel multi-design sweep in both Execute modes. Fork mode is
-# the sharper TSan target: workers classify captured forks while the
-# trunk simulation is still mutating its own state on the owner
+# a parallel multi-design sweep. Workers classify captured forks while
+# the trunk simulation is still mutating its own state on the owner
 # thread, so any capture that aliases live trunk state instead of
-# deep-copying it shows up as a race here. ASan/TSan cannot share a
+# sharing it copy-on-write shows up as a race here. ASan/TSan cannot share a
 # build, so this is its own configuration; only the needed targets are
 # built.
 cmake -B "$tsan" -S "$repo" \
@@ -141,17 +141,16 @@ cmake --build "$tsan" -j "$(nproc)" \
     --target cnvm_crash_sweep runner_test
 "$tsan/tests/runner_test"
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4
-"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 --mode fork
 # Fault capture happens on the trunk thread while workers classify
 # earlier (faulted) forks — the dose must stay on each fork's copy.
-"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 --mode fork \
+"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
     --faults --integrity --design SCA --design Unsafe
 # Parallel recovery under TSan: pre-scan shards verify lines on worker
 # threads against the shared immutable source/engine (any hidden
 # mutability in verifyLine races here), nested inside pooled point
 # classification; then the recovery-crash family, whose points run
 # concurrent interrupted recoveries against per-point image copies.
-"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 --mode fork \
+"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
     --recovery-jobs 4 --faults --integrity --design SCA
 "$tsan/tools/cnvm_crash_sweep" --points 6 --recovery-crashes 10 \
     --jobs 4 --recovery-jobs 4 --faults --integrity \
@@ -168,7 +167,7 @@ cmake --build "$tsan" -j "$(nproc)" --target line_table_test
 cmake --build "$tsan" -j "$(nproc)" --target integrity_tree_test
 "$tsan/tests/integrity_tree_test" \
     --gtest_filter='QuarantineRace.*:ReplaySweep.*'
-"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 --mode fork \
+"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
     --recovery-jobs 4 --faults --replays --integrity-tree \
     --design SCA --design Unsafe
 # Multi-channel sweep under TSan: fork capture drains four channels'
@@ -176,7 +175,7 @@ cmake --build "$tsan" -j "$(nproc)" --target integrity_tree_test
 # forks — any channel state aliased into a fork instead of deep-copied
 # races here.
 "$tsan/tools/cnvm_crash_sweep" --points 8 --channels 4 --jobs 4 \
-    --mode fork --faults --integrity-tree --design SCA --design Unsafe
+    --faults --integrity-tree --design SCA --design Unsafe
 # Crash-chain soak under TSan: parallel chains run whole
 # crash → recover → resume lifecycles on worker threads, each chain
 # repeatedly tearing down a System and re-seeding the next incarnation
@@ -186,15 +185,14 @@ cmake --build "$tsan" -j "$(nproc)" --target cnvm_soak
 "$tsan/tools/cnvm_soak" --cycles 6 --chains 4 --jobs 4 \
     --faults --replays --integrity-tree --design SCA --design Unsafe
 
-# Release pass: the fork-mode sweep smokes exercise the single-pass
-# Execute end to end with optimization on, single- and multi-channel.
+# Release pass: the sweep smokes exercise the single-pass Execute end
+# to end with optimization on, single- and multi-channel.
 # The benchmark harness selftest then builds perfbench/ under the
 # Release directory and runs every BENCHMARK.json workload at small
 # scale, traced and untraced, failing on any correctness check or any
 # metric missing its declared name and unit.
 cmake -B "$release" -S "$repo" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$release" -j "$(nproc)"
-"$release/tools/cnvm_crash_sweep" --points 20 --jobs 4 --mode fork
-"$release/tools/cnvm_crash_sweep" --points 20 --channels 4 --jobs 4 \
-    --mode fork
+"$release/tools/cnvm_crash_sweep" --points 20 --jobs 4
+"$release/tools/cnvm_crash_sweep" --points 20 --channels 4 --jobs 4
 (cd "$repo" && CARGO_TARGET_DIR="$release" python3 perfbench/run.py --selftest)

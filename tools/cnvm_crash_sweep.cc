@@ -15,8 +15,7 @@
  * The sweep is deterministic for a fixed --seed: same points, same
  * classifications, same fingerprint. With --faults the same holds for
  * a fixed --fault-seed: every point receives the same media-fault dose
- * with a per-point RNG stream, identical across Execute modes and job
- * counts.
+ * with a per-point RNG stream, identical at any job count.
  *
  * Exit status: 0 when every design behaved as designed, 1 otherwise,
  * 2 on usage errors. "As designed" means:
@@ -58,7 +57,6 @@ struct Options
     unsigned jobs = 0; //!< 0 = hardware concurrency
     unsigned recoveryJobs = 1;     //!< per-point recovery concurrency
     unsigned recoveryCrashes = 0;  //!< >0: crash-during-recovery sweep
-    SweepMode mode = SweepMode::Replay;
     bool semanticTriggers = true;
     bool verbose = false;
     bool printFingerprint = false;
@@ -77,14 +75,11 @@ usage(int code)
 options:
   --design NAME     sweep one design (default: all of them)
   --points K        crash points per design (default 20)
-  --jobs N          worker threads for the Execute phase (default:
-                    hardware concurrency; 1 = the serial reference
-                    loop; results are identical at any N)
-  --mode M          Execute strategy: replay (one crashed simulation
-                    per point, the reference; default) or fork (one
-                    trunk run, capture persistent-state forks and
-                    classify them off-trunk — same fingerprint, K
-                    recoveries instead of K simulations)
+  --jobs N          worker threads classifying the crash points, which
+                    one trunk run captures as persistent-state forks
+                    (default: hardware concurrency; 1 classifies each
+                    fork inline on the trunk's thread; results are
+                    identical at any N)
   --recovery-jobs N worker threads *inside* each point's recovery: the
                     integrity pre-scan shards over them (default 1 =
                     the serial reference; recovery output is
@@ -161,16 +156,6 @@ parseArgs(int argc, char **argv)
             opt.recoveryJobs = a.positive();
         } else if (a.is("--recovery-crashes")) {
             opt.recoveryCrashes = a.positive();
-        } else if (a.is("--mode")) {
-            std::string name = a.value();
-            if (name == "replay") {
-                opt.mode = SweepMode::Replay;
-            } else if (name == "fork") {
-                opt.mode = SweepMode::Fork;
-            } else {
-                std::fprintf(stderr, "unknown mode '%s'\n", name.c_str());
-                usage(2);
-            }
         } else if (a.is("--txns")) {
             opt.cfg.wl.txnTarget = a.positive();
         } else if (a.is("--footprint-kb")) {
@@ -217,7 +202,6 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
     SweepOptions sweep_opt;
     sweep_opt.points = opt.points;
     sweep_opt.semanticTriggers = opt.semanticTriggers;
-    sweep_opt.mode = opt.mode;
     sweep_opt.recoveryJobs = opt.recoveryJobs;
     sweep_opt.faults = opt.fault.spec();
     SweepResult result = runSweep(cfg, sweep_opt, &pool);
@@ -317,7 +301,9 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
     return result.mismatchPoints() >= 1;
 }
 
-/** Crash-during-recovery sweep of one design; true iff idempotent. */
+/** Crash-during-recovery sweep of one design; true iff it interrupted
+ *  recovery at least once and every interrupted recovery converged.
+ *  Prints the reason when it returns false. */
 bool
 recrashDesign(const Options &opt, DesignPoint design, WorkPool &pool)
 {
@@ -355,9 +341,28 @@ recrashDesign(const Options &opt, DesignPoint design, WorkPool &pool)
                     result.fingerprint().c_str());
 
     // The gate: interruptions actually happened, and every
-    // interrupted-then-completed recovery converged.
-    return !result.points.empty() && result.firedPoints() > 0
-        && result.divergentPoints() == 0;
+    // interrupted-then-completed recovery converged. A sweep with
+    // nothing interrupted proves nothing, so it fails too — with its
+    // own reason, not as a divergence.
+    const char *name = shortDesignName(design);
+    if (result.points.empty()) {
+        std::printf("  ^^ %s: no interruption point could be planned "
+                    "(%u crashed image(s) captured, no recovery step "
+                    "to interrupt)\n", name, result.images);
+        return false;
+    }
+    if (result.firedPoints() == 0) {
+        std::printf("  ^^ %s: none of the %zu interruption point(s) "
+                    "fired\n", name, result.points.size());
+        return false;
+    }
+    if (result.divergentPoints() != 0) {
+        std::printf("  ^^ %s: %u interruption point(s) diverged from "
+                    "the single-shot result\n", name,
+                    result.divergentPoints());
+        return false;
+    }
+    return true;
 }
 
 } // anonymous namespace
@@ -386,24 +391,17 @@ main(int argc, char **argv)
         std::printf("%-13s %7s %8s %11s %10s %9s\n", "design", "images",
                     "captured", "points", "fired", "divergent");
         bool all_ok = true;
-        for (DesignPoint d : opt.designs) {
-            if (!recrashDesign(opt, d, pool)) {
-                all_ok = false;
-                std::printf("  ^^ %s: interrupted recovery diverged "
-                            "from the single-shot result\n",
-                            shortDesignName(d));
-            }
-        }
+        for (DesignPoint d : opt.designs)
+            all_ok = recrashDesign(opt, d, pool) && all_ok;
         return all_ok ? 0 : 1;
     }
 
     std::printf("crash-point sweep: %u points/design, workload %s, "
-                "%u core(s), %u txns, seed %llu, %u job(s), %s mode"
-                "%s%s%s%s\n",
+                "%u core(s), %u txns, seed %llu, %u job(s)%s%s%s%s\n",
                 opt.points, workloadKindName(opt.cfg.workload),
                 opt.cfg.numCores, opt.cfg.wl.txnTarget,
                 static_cast<unsigned long long>(opt.cfg.wl.seed),
-                pool.jobs(), sweepModeName(opt.mode),
+                pool.jobs(),
                 opt.semanticTriggers ? "" : ", ticks only",
                 opt.fault.faults ? ", media faults" : "",
                 opt.fault.replays ? " + replays" : "",

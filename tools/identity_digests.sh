@@ -15,12 +15,11 @@
 #
 # The matrix: `cnvm_sim --stats` for all 7 designs at 1, 4 and 8
 # channels; `cnvm_crash_sweep --fingerprint` with faults, replays and
-# the integrity tree, in replay and fork mode, at --jobs 1 and 4 and
-# --channels 1 and 4; one fork-mode sweep over a 4 MB region, whose
-# persisted image spans more than one LineTable directory chunk (512
-# pages x 64 lines = 2 MB of data lines), so sharing and cloning pages
-# across chunks is pinned too; and two `cnvm_soak --fingerprint`
-# chains. A run that exits non-zero gets its exit status appended to
+# the integrity tree, at --jobs 1 and 4 and --channels 1 and 4; one
+# sweep over a 4 MB region, whose persisted image spans more than one
+# LineTable directory chunk (512 pages x 64 lines = 2 MB of data
+# lines), so sharing and cloning pages across chunks is pinned too; and
+# two `cnvm_soak --fingerprint` chains. A run that exits non-zero gets its exit status appended to
 # its row.
 
 set -u -o pipefail
@@ -58,16 +57,13 @@ for channels in 1 4 8; do
         row cnvm_sim --stats --design "$design" --channels "$channels"
     done
 done
-for mode in replay fork; do
-    for jobs in 1 4; do
-        for channels in 1 4; do
-            row cnvm_crash_sweep --fingerprint --faults --replays \
-                --integrity-tree --mode "$mode" --jobs "$jobs" \
-                --channels "$channels"
-        done
+for jobs in 1 4; do
+    for channels in 1 4; do
+        row cnvm_crash_sweep --fingerprint --faults --replays \
+            --integrity-tree --jobs "$jobs" --channels "$channels"
     done
 done
-row cnvm_crash_sweep --mode fork --footprint-kb 4096 --points 16 --faults \
-    --replays --integrity-tree --fingerprint
+row cnvm_crash_sweep --footprint-kb 4096 --points 16 --faults --replays \
+    --integrity-tree --fingerprint
 row cnvm_soak --fingerprint
 row cnvm_soak --fingerprint --faults --replays --integrity-tree --channels 4
