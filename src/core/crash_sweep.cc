@@ -1,10 +1,10 @@
 #include "core/crash_sweep.hh"
 
 #include <memory>
-#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "runner/runner.hh"
 
 namespace cnvm
 {
@@ -163,16 +163,14 @@ classifyFork(const System &trunk, const CrashSpec &spec,
 }
 
 SweepResult
-runSweep(const SystemConfig &cfg, const SweepOptions &opt, WorkPool *pool)
+runSweep(const SystemConfig &cfg, const SweepOptions &opt)
 {
     SweepResult result;
     result.probe = probeRun(cfg);
     const std::vector<CrashSpec> plan = planSweep(
         result.probe, opt.points, opt.semanticTriggers, opt.faults);
 
-    std::optional<WorkPool> local;
-    if (pool == nullptr)
-        pool = &local.emplace(opt.jobs);
+    WorkPool pool(opt.jobs);
 
     // Arm the whole plan on one trunk System; every firing spec
     // captures a PersistFork and is classified off-trunk on the pool,
@@ -190,14 +188,14 @@ runSweep(const SystemConfig &cfg, const SweepOptions &opt, WorkPool *pool)
             // callback returns (the trunk resumes) while a worker may
             // still be classifying.
             auto owned = std::make_shared<PersistFork>(std::move(fork));
-            pool->submit([&trunk, &plan, &result, &opt, i, owned]() {
+            pool.submit([&trunk, &plan, &result, &opt, i, owned]() {
                 result.points[i] = classifyFork(trunk, plan[i], *owned,
                                                 opt.recoveryJobs);
             });
         });
     // The trunk has finished; drain the classification tail before it
     // goes out of scope (classifyFork reads its immutable config).
-    pool->waitSubmitted();
+    pool.waitSubmitted();
     return result;
 }
 

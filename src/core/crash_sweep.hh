@@ -42,7 +42,6 @@
 #include "core/crash_injector.hh"
 #include "core/crash_oracle.hh"
 #include "core/system.hh"
-#include "runner/runner.hh"
 
 namespace cnvm
 {
@@ -251,12 +250,10 @@ SweepPoint classifyFork(const System &trunk, const CrashSpec &spec,
                         unsigned recovery_jobs = 1);
 
 /**
- * Probe + plan + execute. When @p pool is given it classifies the
- * forks (its jobs() overrides @p opt.jobs); otherwise a pool of
- * SweepOptions::jobs is created for the sweep.
+ * Probe + plan + execute: the forks are classified on a pool of
+ * SweepOptions::jobs workers.
  */
-SweepResult runSweep(const SystemConfig &cfg, const SweepOptions &opt,
-                     WorkPool *pool = nullptr);
+SweepResult runSweep(const SystemConfig &cfg, const SweepOptions &opt);
 
 /** Convenience overload with serial execution (jobs == 1). */
 SweepResult runSweep(const SystemConfig &cfg, unsigned points,

@@ -7,7 +7,8 @@
  * a power failure discards all volatile state, so recovery — and hence
  * crash classification — depends only on what had persisted by the
  * failure instant. A PersistFork is exactly that closure: the device's
- * persisted image with the controller's ADR drain already overlaid,
+ * persisted image with the same power failure an in-place crash runs
+ * (ADR drain, tree flush, fault dose) already applied to it,
  * the controller-state snapshot for reporting, and the per-core
  * committed-transaction digests as of the capture tick. Classifying a
  * fork off-trunk (core/crash_sweep.hh, classifyFork()) is therefore
@@ -29,10 +30,10 @@ namespace cnvm
 
 /**
  * Controller state at the instant the power failed, captured before
- * crash() tears it down (or, for a fork, at the capture instant while
- * the trunk keeps running). Lets tests assert that a semantic trigger
- * really crashed in the intended state (non-empty pipeline, occupied
- * landing queue, ...), and feeds the sweep report.
+ * the controllers are torn down (or, for a fork, at the capture
+ * instant while the trunk keeps running). Lets tests assert that a
+ * semantic trigger really crashed in the intended state (non-empty
+ * pipeline, occupied landing queue, ...), and feeds the sweep report.
  */
 struct CrashSnapshot
 {
@@ -62,8 +63,9 @@ struct PersistFork
     CrashSnapshot snapshot;
 
     /**
-     * Persisted NVM state at the capture instant with the ADR drain of
-     * the ready queue entries applied — what recovery would find.
+     * Persisted NVM state at the capture instant with the power
+     * failure applied — byte for byte what an in-place crash at the
+     * same instant leaves on the device, so what recovery would find.
      */
     PersistImage image;
 

@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "core/crash_sweep.hh"
 #include "core/persist_fork.hh"
+#include "runner/runner.hh"
 
 namespace cnvm
 {
@@ -216,7 +217,7 @@ runPoint(const System &trunk, const PersistFork &fork,
 
 RecoveryCrashResult
 runRecoveryCrashSweep(const SystemConfig &cfg,
-                      const RecoveryCrashOptions &opt, WorkPool *pool)
+                      const RecoveryCrashOptions &opt)
 {
     RecoveryCrashResult result;
 
@@ -243,46 +244,40 @@ runRecoveryCrashSweep(const SystemConfig &cfg,
     if (images.empty())
         return result;
 
-    auto execute = [&](WorkPool &p) {
-        // Phase A — reference: one uninterrupted write-back recovery
-        // per image (on its own copy), with an observer recording how
-        // often each recovery step occurs. Images are independent;
-        // map() keeps the merge in plan order.
-        std::vector<ImageReference> refs = p.map<ImageReference>(
-            images.size(), [&](std::size_t i) {
-                ImageReference ref;
-                PersistImage work = images[i]->image;
-                RecoveryCrashInjector observer;
-                std::vector<RecoveryReport> reports;
-                bool done = recoveryAttempt(work, trunk, *images[i],
-                                            opt.recoveryJobs, &observer,
-                                            &reports);
-                cnvm_assert(done); // observers never fire
-                for (const RecoveryReport &r : reports)
-                    ref.converged.push_back(convergenceOf(r));
-                for (RecoveryEvent ev : allRecoveryEvents)
-                    ref.eventCounts[static_cast<unsigned>(ev)] =
-                        observer.countOf(ev);
-                return ref;
-            });
-        for (ImageReference &ref : refs)
-            result.reference.push_back(ref.converged);
+    WorkPool pool(opt.jobs);
 
-        // Phase B — the interruption points.
-        std::vector<PlannedPoint> pplan = planPoints(refs, opt.points);
-        result.points = p.map<RecoveryCrashPoint>(
-            pplan.size(), [&](std::size_t i) {
-                const PlannedPoint &pp = pplan[i];
-                return runPoint(trunk, *images[pp.imageIndex], pp,
-                                refs[pp.imageIndex], opt);
-            });
-    };
-    if (pool != nullptr) {
-        execute(*pool);
-    } else {
-        WorkPool local(opt.jobs);
-        execute(local);
-    }
+    // Phase A — reference: one uninterrupted write-back recovery
+    // per image (on its own copy), with an observer recording how
+    // often each recovery step occurs. Images are independent;
+    // map() keeps the merge in plan order.
+    std::vector<ImageReference> refs = pool.map<ImageReference>(
+        images.size(), [&](std::size_t i) {
+            ImageReference ref;
+            PersistImage work = images[i]->image;
+            RecoveryCrashInjector observer;
+            std::vector<RecoveryReport> reports;
+            bool done = recoveryAttempt(work, trunk, *images[i],
+                                        opt.recoveryJobs, &observer,
+                                        &reports);
+            cnvm_assert(done); // observers never fire
+            for (const RecoveryReport &r : reports)
+                ref.converged.push_back(convergenceOf(r));
+            for (RecoveryEvent ev : allRecoveryEvents)
+                ref.eventCounts[static_cast<unsigned>(ev)] =
+                    observer.countOf(ev);
+            return ref;
+        });
+    for (ImageReference &ref : refs)
+        result.reference.push_back(ref.converged);
+
+    // Phase B — the interruption points.
+    std::vector<PlannedPoint> pplan = planPoints(refs, opt.points);
+    result.points = pool.map<RecoveryCrashPoint>(
+        pplan.size(), [&](std::size_t i) {
+            const PlannedPoint &pp = pplan[i];
+            return runPoint(trunk, *images[pp.imageIndex], pp,
+                            refs[pp.imageIndex], opt);
+        });
     return result;
 }
 

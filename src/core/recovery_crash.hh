@@ -47,7 +47,6 @@
 #include "core/recovery.hh"
 #include "core/system.hh"
 #include "nvm/fault_model.hh"
-#include "runner/runner.hh"
 
 namespace cnvm
 {
@@ -234,12 +233,10 @@ struct RecoveryCrashResult
  * trunk run), recovers each once for reference, then executes
  * @p opt.points interruption points: interrupted write-back attempts
  * followed by a completing one, gated on convergence. Deterministic
- * for fixed seeds at any jobs value; when @p pool is given it runs
- * the point phase (its jobs() overrides opt.jobs).
+ * for fixed seeds at any opt.jobs value.
  */
 RecoveryCrashResult runRecoveryCrashSweep(const SystemConfig &cfg,
-                                          const RecoveryCrashOptions &opt,
-                                          WorkPool *pool = nullptr);
+                                          const RecoveryCrashOptions &opt);
 
 } // namespace cnvm
 

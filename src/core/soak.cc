@@ -15,6 +15,7 @@
 #include "common/random.hh"
 #include "core/crash_sweep.hh"
 #include "core/recovery_crash.hh"
+#include "runner/runner.hh"
 
 namespace cnvm
 {
@@ -324,6 +325,46 @@ probeRecoveryIdempotence(System &sys, const std::vector<OracleReport> &ref,
     return "";
 }
 
+/** One look at a powered-down System's image (see examine()). */
+struct Examination
+{
+    /** The write-back-committed copy of the persisted image. */
+    PersistImage image;
+
+    /** The crash oracle's verdict per core. */
+    std::vector<OracleReport> reports;
+
+    /** Per-core fresh-incarnation flags (SoakOracle::observe). */
+    std::vector<std::uint8_t> fresh;
+
+    /** The soak oracle's first violation; empty when none. */
+    std::string violation;
+};
+
+/**
+ * Classifies and write-back-recovers every core's region of @p sys's
+ * persisted image in one pass (the oracle reads the image copy it
+ * also commits restorations to; reads cache before writes land, so
+ * the view is coherent), then folds the reports into @p oracle's
+ * cumulative invariants.
+ */
+Examination
+examine(System &sys, SoakOracle &oracle, const SoakOptions &opt)
+{
+    Examination ex{sys.nvm().persistedState(), {}, {}, {}};
+    RecoveryOptions ropt;
+    ropt.jobs = opt.recoveryJobs;
+    ropt.degraded = true;
+    ropt.commitTo = &ex.image;
+    CrashOracle ocl(ex.image, sys.controller());
+    ex.reports.reserve(sys.numCores());
+    for (unsigned i = 0; i < sys.numCores(); ++i)
+        ex.reports.push_back(ocl.examine(sys.workload(i), nullptr, ropt));
+    ex.violation =
+        oracle.observe(ex.reports, ex.image, sys.controller(), ex.fresh);
+    return ex;
+}
+
 } // namespace
 
 SoakChainResult
@@ -368,34 +409,17 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
         cyc.endTick = r.endTick;
         if (!r.crashed) {
             // Target reached before the spec fired: model a clean
-            // shutdown (full ADR budget, tree flushed), then land the
+            // shutdown (full ADR budget, tree flushed) and land the
             // cycle's media dose on the shut-down image — dosing
             // pressure must not depend on whether the spec was
-            // reachable. The adrDropCount(0) call keeps the fault
-            // RNG's fixed draw order with nothing to drop.
-            sys->crashChannels();
-            if (cyc.dosed) {
-                FaultModel fm(cyc.spec.faults,
-                              sys->controller().config().counterRegionBase);
-                fm.adrDropCount(0);
-                fm.applyMediaFaults(sys->nvm().persistedState());
-            }
+            // reachable. The completed run left no ready entries, so
+            // the ADR loss draw has nothing to drop.
+            sys->crashChannels(cyc.spec.faults);
         }
 
-        // One pass classifies and write-back-recovers: the oracle
-        // reads the image copy it also commits restorations to
-        // (reads cache before writes land, so the view is coherent).
-        PersistImage img = sys->nvm().persistedState();
-        RecoveryOptions ropt;
-        ropt.jobs = opt.recoveryJobs;
-        ropt.degraded = true;
-        ropt.commitTo = &img;
-        CrashOracle ocl(img, sys->controller());
-
-        std::vector<OracleReport> reports;
-        reports.reserve(cfg.numCores);
-        for (unsigned i = 0; i < cfg.numCores; ++i)
-            reports.push_back(ocl.examine(sys->workload(i), nullptr, ropt));
+        Examination ex = examine(*sys, oracle, opt);
+        const std::vector<OracleReport> &reports = ex.reports;
+        const std::vector<std::uint8_t> &fresh = ex.fresh;
 
         if (opt.recoveryCrashes > 0) {
             std::string viol = probeRecoveryIdempotence(
@@ -407,10 +431,6 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
                 return res;
             }
         }
-
-        std::vector<std::uint8_t> fresh;
-        std::string viol =
-            oracle.observe(reports, img, sys->controller(), fresh);
 
         for (unsigned i = 0; i < cfg.numCores; ++i) {
             const OracleReport &rep = reports[i];
@@ -429,8 +449,9 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
         cyc.stats = snapshotStats(*sys, r);
         res.cycles.push_back(cyc);
 
-        if (!viol.empty()) {
-            res.failure = "cycle " + std::to_string(c) + ": " + viol;
+        if (!ex.violation.empty()) {
+            res.failure = "cycle " + std::to_string(c) + ": "
+                + ex.violation;
             return res;
         }
 
@@ -438,9 +459,9 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
         // state. Its fault ground truth is cleared — the next verdict
         // must attribute only the next dose — while the stale-triple
         // attack surface is deliberately kept alive across cycles.
-        img.clearFaultGroundTruth();
+        ex.image.clearFaultGroundTruth();
         state = ResumeState{};
-        state.image = std::move(img);
+        state.image = std::move(ex.image);
         std::uint64_t max_committed = 0;
         for (unsigned i = 0; i < cfg.numCores; ++i) {
             state.committedTxns.push_back(cyc.committed[i]);
@@ -470,21 +491,9 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
         fin.endTick = r.endTick;
         sys->crashChannels();
 
-        PersistImage img = sys->nvm().persistedState();
-        RecoveryOptions ropt;
-        ropt.jobs = opt.recoveryJobs;
-        ropt.degraded = true;
-        ropt.commitTo = &img;
-        CrashOracle ocl(img, sys->controller());
-
-        std::vector<OracleReport> reports;
-        reports.reserve(cfg.numCores);
-        for (unsigned i = 0; i < cfg.numCores; ++i)
-            reports.push_back(ocl.examine(sys->workload(i), nullptr, ropt));
-
-        std::vector<std::uint8_t> fresh;
-        std::string viol =
-            oracle.observe(reports, img, sys->controller(), fresh);
+        Examination ex = examine(*sys, oracle, opt);
+        const std::vector<OracleReport> &reports = ex.reports;
+        const std::vector<std::uint8_t> &fresh = ex.fresh;
 
         for (unsigned i = 0; i < cfg.numCores; ++i) {
             const OracleReport &rep = reports[i];
@@ -503,8 +512,8 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
         fin.stats = snapshotStats(*sys, r);
         res.cycles.push_back(fin);
 
-        if (!viol.empty()) {
-            res.failure = "final examination: " + viol;
+        if (!ex.violation.empty()) {
+            res.failure = "final examination: " + ex.violation;
             return res;
         }
         for (unsigned i = 0; i < cfg.numCores; ++i) {
@@ -536,16 +545,11 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
 }
 
 SoakResult
-runSoak(const SystemConfig &cfg, const SoakOptions &opt, WorkPool *pool)
+runSoak(const SystemConfig &cfg, const SoakOptions &opt)
 {
-    std::unique_ptr<WorkPool> owned;
-    if (pool == nullptr) {
-        owned = std::make_unique<WorkPool>(opt.jobs == 0 ? 1 : opt.jobs);
-        pool = owned.get();
-    }
-
+    WorkPool pool(opt.jobs);
     SoakResult res;
-    res.chains = pool->map<SoakChainResult>(
+    res.chains = pool.map<SoakChainResult>(
         opt.chains, [&](std::size_t i) {
             SoakOptions copt = opt;
             copt.seed = opt.seed * 0x9e3779b97f4a7c15ull + i + 1;

@@ -51,7 +51,6 @@
 #include "core/crash_oracle.hh"
 #include "core/system.hh"
 #include "nvm/fault_model.hh"
-#include "runner/runner.hh"
 
 namespace cnvm
 {
@@ -94,7 +93,8 @@ struct SoakOptions
     /** Independent chains to run (each with a derived seed). */
     unsigned chains = 1;
 
-    /** Chain-level concurrency when runSoak() builds its own pool. */
+    /** Chain-level concurrency of runSoak() (0 = hardware
+     *  concurrency, as for WorkPool). */
     unsigned jobs = 1;
 };
 
@@ -390,12 +390,11 @@ SoakChainResult runSoakChain(const SystemConfig &cfg,
 
 /**
  * Fans `opt.chains` independent chains (seeds derived from opt.seed)
- * over @p pool — or a private WorkPool(opt.jobs) when @p pool is
- * null. Chains are independent and each is deterministic, so the
- * result (and its fingerprint) is byte-identical at any jobs value.
+ * over a WorkPool(opt.jobs). Chains are independent and each is
+ * deterministic, so the result (and its fingerprint) is byte-identical
+ * at any jobs value.
  */
-SoakResult runSoak(const SystemConfig &cfg, const SoakOptions &opt,
-                   WorkPool *pool = nullptr);
+SoakResult runSoak(const SystemConfig &cfg, const SoakOptions &opt);
 
 } // namespace cnvm
 

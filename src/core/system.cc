@@ -340,53 +340,60 @@ System::run()
     return runInternal();
 }
 
-unsigned
-System::totalReadyEntries() const
+CrashSnapshot
+System::snapshotNow() const
 {
-    unsigned n = 0;
-    for (const auto &ctl : memCtls)
-        n += ctl->readyEntryCount();
-    return n;
+    CrashSnapshot snap;
+    snap.valid = true;
+    snap.tick = eventq.curTick();
+    for (const auto &ctl : memCtls) {
+        snap.dataQueue += ctl->dataQueueOccupancy();
+        snap.ctrQueue += ctl->ctrQueueOccupancy();
+        snap.landing += ctl->landingDepth();
+        snap.pipeline += ctl->pipelineDepth();
+        snap.inflight += ctl->inflightDepth();
+        snap.outstandingReads += ctl->outstandingReadCount();
+    }
+    return snap;
 }
 
 std::vector<AdrCut>
-System::adrCuts(unsigned drop) const
+System::powerFail(PersistImage &img, const FaultSpec &faults) const
 {
     std::vector<ChannelReady> ready(memCtls.size());
+    unsigned total = 0;
     for (std::size_t c = 0; c < memCtls.size(); ++c) {
         ready[c].dataSeqs = memCtls[c]->readyDataSeqs();
         ready[c].ctrSeqs = memCtls[c]->readyCtrSeqs();
+        total += static_cast<unsigned>(ready[c].dataSeqs.size()
+                                       + ready[c].ctrSeqs.size());
     }
-    return computeDrainKeeps(ready, drop);
+
+    // The fault model's two draws share one RNG stream, so their
+    // order is fixed: the ADR energy loss first, the media dose last.
+    const MemCtlConfig &mc = controller().config();
+    FaultModel fm(faults, mc.counterRegionBase);
+    std::vector<AdrCut> cuts =
+        computeDrainKeeps(ready, fm.adrDropCount(total));
+    for (std::size_t c = 0; c < memCtls.size(); ++c)
+        memCtls[c]->drainAdr(img, cuts[c]);
+    // The ADR budget's last act: flush the integrity tree, root last
+    // *globally*, after every channel's counters. The volatile mirror
+    // is the tree of the persisted store, so the flush is a rebuild of
+    // the post-drain store — before the media dose, which is why a
+    // replayed counter word never agrees with the persisted tree.
+    if (mc.integrityTree)
+        rebuildTree(img, mc.counterRegionBase, 0, ~Addr(0));
+    fm.applyMediaFaults(img);
+    return cuts;
 }
 
 void
-System::crashChannels(unsigned adr_drop_tail)
+System::crashChannels(const FaultSpec &faults)
 {
-    // Global ADR drain: translate the drop into per-channel keep
-    // prefixes of the shared sequence order, drain each channel, then
-    // rebuild the integrity tree once over the merged image — the
-    // root persists last *globally*, after every channel's counters.
-    std::vector<AdrCut> cuts = adrCuts(adr_drop_tail);
+    std::vector<AdrCut> cuts = powerFail(nvmDev.persistedState(), faults);
     for (std::size_t c = 0; c < memCtls.size(); ++c)
         memCtls[c]->crashWithCut(cuts[c]);
-    if (controller().config().integrityTree) {
-        rebuildTree(nvmDev.persistedState(),
-                    controller().config().counterRegionBase, 0,
-                    ~Addr(0));
-    }
-}
-
-void
-System::captureChannels(PersistImage &img, unsigned drop) const
-{
-    std::vector<AdrCut> cuts = adrCuts(drop);
-    for (std::size_t c = 0; c < memCtls.size(); ++c)
-        memCtls[c]->captureCrashStateWithCut(img, cuts[c]);
-    if (controller().config().integrityTree) {
-        rebuildTree(img, controller().config().counterRegionBase, 0,
-                    ~Addr(0));
-    }
 }
 
 void
@@ -394,40 +401,13 @@ System::doCrash()
 {
     lastResult.crashed = true;
     lastResult.endTick = eventq.curTick();
-
-    snapshot.valid = true;
-    snapshot.tick = eventq.curTick();
-    snapshot.dataQueue = 0;
-    snapshot.ctrQueue = 0;
-    snapshot.landing = 0;
-    snapshot.pipeline = 0;
-    snapshot.inflight = 0;
-    snapshot.outstandingReads = 0;
-    for (const auto &ctl : memCtls) {
-        snapshot.dataQueue += ctl->dataQueueOccupancy();
-        snapshot.ctrQueue += ctl->ctrQueueOccupancy();
-        snapshot.landing += ctl->landingDepth();
-        snapshot.pipeline += ctl->pipelineDepth();
-        snapshot.inflight += ctl->inflightDepth();
-        snapshot.outstandingReads += ctl->outstandingReadCount();
-    }
+    snapshot = snapshotNow();
 
     for (auto &core : cores)
         core->halt();
     for (auto &path : memPaths)
         path->dropAll();
-    if (activeSpec.faults.any()) {
-        // Same order as fork capture: draw the ADR energy loss over
-        // the global ready population, drain under that budget, then
-        // corrupt the persisted image.
-        FaultModel fm(activeSpec.faults,
-                      controller().config().counterRegionBase);
-        unsigned drop = fm.adrDropCount(totalReadyEntries());
-        crashChannels(drop);
-        fm.applyMediaFaults(nvmDev.persistedState());
-    } else {
-        crashChannels();
-    }
+    crashChannels(activeSpec.faults);
     eventq.requestStop();
 }
 
@@ -455,38 +435,12 @@ PersistFork
 System::captureFork(const CrashSpec &spec) const
 {
     PersistFork fork;
-    fork.snapshot.valid = true;
-    fork.snapshot.tick = eventq.curTick();
-    fork.snapshot.dataQueue = 0;
-    fork.snapshot.ctrQueue = 0;
-    fork.snapshot.landing = 0;
-    fork.snapshot.pipeline = 0;
-    fork.snapshot.inflight = 0;
-    fork.snapshot.outstandingReads = 0;
-    for (const auto &ctl : memCtls) {
-        fork.snapshot.dataQueue += ctl->dataQueueOccupancy();
-        fork.snapshot.ctrQueue += ctl->ctrQueueOccupancy();
-        fork.snapshot.landing += ctl->landingDepth();
-        fork.snapshot.pipeline += ctl->pipelineDepth();
-        fork.snapshot.inflight += ctl->inflightDepth();
-        fork.snapshot.outstandingReads += ctl->outstandingReadCount();
-    }
-
-    // Persisted state as a crash here would leave it: the device's
-    // image, then the global ADR drain of every channel's ready queue
-    // entries overlaid on the copy, then the spec's fault dose — the
-    // same draw order as doCrash(), so Replay and Fork corrupt
-    // identically. The trunk's own image stays untouched.
+    fork.snapshot = snapshotNow();
+    // Persisted state as a crash here would leave it: the same
+    // power-failure sequence as doCrash(), on a copy-on-write copy of
+    // the device's image. The trunk's own image stays untouched.
     fork.image = nvmDev.persistedState();
-    if (spec.faults.any()) {
-        FaultModel fm(spec.faults,
-                      controller().config().counterRegionBase);
-        unsigned drop = fm.adrDropCount(totalReadyEntries());
-        captureChannels(fork.image, drop);
-        fm.applyMediaFaults(fork.image);
-    } else {
-        captureChannels(fork.image, 0);
-    }
+    powerFail(fork.image, spec.faults);
 
     // Digest logs snapshot: the trunk keeps committing after the
     // capture, and the committed-prefix search must not see the fork's

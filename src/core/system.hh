@@ -210,18 +210,14 @@ class System
 
     /**
      * Models a power failure across all channels right now, outside
-     * the event loop: computes the global ADR cut over every
-     * channel's ready entries, drains each channel's keep-prefix, and
-     * (with the integrity tree on) rebuilds the tree over the merged
-     * image last — the cross-channel "root persists last globally"
-     * contract. The clean-shutdown image check in the CLI uses this
-     * with the default full budget.
-     *
-     * @param adr_drop_tail ready entries lost off the tail of the
-     *        global drain order (energy exhaustion), as for
-     *        MemController::crash().
+     * the event loop: powerFail() on the device's own image (the
+     * global ADR cut, each channel's drain, the tree flush root last,
+     * then @p faults' media dose), after which every channel loses its
+     * volatile state. The clean-shutdown image check in the CLI and
+     * the soak call it after a completed run; a crash armed by
+     * runWithCrash() ends in it too.
      */
-    void crashChannels(unsigned adr_drop_tail = 0);
+    void crashChannels(const FaultSpec &faults = {});
 
     NvmDevice &nvm() { return nvmDev; }
     const NvmDevice &nvm() const { return nvmDev; }
@@ -267,20 +263,33 @@ class System
     void doCrash();
     RunResult runInternal();
 
-    /** Ready (ADR-eligible) entries across every channel. */
-    unsigned totalReadyEntries() const;
+    /** Controller state at this instant, summed over channels. */
+    CrashSnapshot snapshotNow() const;
 
-    /** The global ADR cut for @p drop lost entries, per channel. */
-    std::vector<AdrCut> adrCuts(unsigned drop) const;
+    /**
+     * The one power-failure sequence (paper section 5.2.2), applied to
+     * @p img — the device's own image for an in-place crash, or a
+     * fork's copy-on-write copy of it for a capture:
+     *  1. gather every channel's ready entries;
+     *  2. draw the energy-exhaustion loss (FaultModel::adrDropCount)
+     *     over their total;
+     *  3. turn it into per-channel keep prefixes of the global persist
+     *     order (computeDrainKeeps);
+     *  4. drain each channel's keep prefix (MemController::drainAdr);
+     *  5. flush the integrity tree once over the merged image, root
+     *     last across every channel;
+     *  6. land @p faults' media dose (FaultModel::applyMediaFaults).
+     * Moves no stats and touches no controller state. Returns each
+     * channel's cut, which an in-place crash needs for its teardown.
+     */
+    std::vector<AdrCut> powerFail(PersistImage &img,
+                                  const FaultSpec &faults) const;
 
-    /** Fork-capture twin of crashChannels(): overlays each channel's
-     *  keep-prefix drain on @p img, then rebuilds the tree globally. */
-    void captureChannels(PersistImage &img, unsigned drop) const;
-
-    /** Deep-copies the crash closure of the current instant (see
-     *  PersistFork): persisted image + ADR overlay + @p spec's fault
-     *  dose, controller snapshot, per-core digest logs. const — the
-     *  faults land on the fork's image copy, never the trunk's. */
+    /** The crash closure of the current instant (see PersistFork):
+     *  a copy-on-write copy of the persisted image with powerFail()
+     *  under @p spec's fault dose applied to it, the controller
+     *  snapshot, and the per-core digest logs. const — the drain and
+     *  the faults land on the fork's copy, never the trunk's. */
     PersistFork captureFork(const CrashSpec &spec) const;
 };
 

@@ -1160,17 +1160,6 @@ MemController::persistDataEntryTo(PersistImage &img,
     }
 }
 
-unsigned
-MemController::readyEntryCount() const
-{
-    unsigned n = 0;
-    for (const DataEntry &entry : dataQ)
-        n += entry.ready;
-    for (const CtrEntry &entry : ctrQ)
-        n += entry.ready && entry.pendingPartners == 0;
-    return n;
-}
-
 std::vector<std::uint64_t>
 MemController::readyDataSeqs() const
 {
@@ -1195,42 +1184,17 @@ MemController::readyCtrSeqs() const
     return seqs;
 }
 
-AdrCut
-MemController::cutFor(unsigned adr_drop_tail) const
-{
-    unsigned ready_data = 0;
-    for (const DataEntry &entry : dataQ)
-        ready_data += entry.ready;
-    unsigned ready_ctr = readyEntryCount() - ready_data;
-
-    unsigned budget = ready_data + ready_ctr;
-    budget -= std::min(adr_drop_tail, budget);
-
-    AdrCut cut;
-    cut.dataKeep = std::min(budget, ready_data);
-    cut.ctrKeep = budget - cut.dataKeep;
-    cut.flushTree = true;
-    return cut;
-}
-
 void
-MemController::captureCrashState(PersistImage &img,
-                                 unsigned adr_drop_tail) const
+MemController::drainAdr(PersistImage &img, const AdrCut &cut) const
 {
-    captureCrashStateWithCut(img, cutFor(adr_drop_tail));
-}
-
-void
-MemController::captureCrashStateWithCut(PersistImage &img,
-                                        const AdrCut &cut) const
-{
-    // Same ADR semantics and the same order as the crash path: every
-    // kept ready data entry in queue (age) order, then every kept
-    // fully-paired ready counter entry — the order matters for the
+    // Every kept ready data entry in queue (age) order, then every
+    // kept fully-paired ready counter entry — the order matters for the
     // co-located designs, whose data drains read-modify-write the
     // counter store. An energy-exhaustion fault loses the tail of the
     // *global* drain order, which computeDrainKeeps has already
-    // translated into the per-channel keep prefixes of @p cut.
+    // translated into the per-channel keep prefixes of @p cut. Raw
+    // persistence, not persistDataEntry(): the lazy tree hooks stay out
+    // of the dying drain, which the caller's full tree flush covers.
     unsigned data_keep = cut.dataKeep;
     unsigned ctr_keep = cut.ctrKeep;
     for (const DataEntry &entry : dataQ) {
@@ -1245,18 +1209,6 @@ MemController::captureCrashStateWithCut(PersistImage &img,
             --ctr_keep;
         }
     }
-
-    // The ADR budget's last act: flush the integrity tree, root last.
-    // The controller's volatile mirror is (by the noteCounterPersist
-    // hooks) the tree of the persisted counter store, so the flush is
-    // modeled as a rebuild from the image's own store — crucially
-    // *after* the drain overlay above, and before the fault model gets
-    // its turn, which is why a replayed counter word can never agree
-    // with the persisted tree. Multi-channel callers clear flushTree
-    // and rebuild once over the merged image after *every* channel has
-    // drained, so the root is globally last.
-    if (cut.flushTree && cfg.integrityTree)
-        rebuildTree(img, cfg.counterRegionBase, 0, ~Addr(0));
 }
 
 void
@@ -1358,48 +1310,30 @@ MemController::warmCounterLine(Addr data_line_addr)
 // ----------------------------------------------------------------------
 
 void
-MemController::crash(unsigned adr_drop_tail)
+MemController::crash()
 {
-    crashWithCut(cutFor(adr_drop_tail));
+    AdrCut full;
+    full.dataKeep = static_cast<unsigned>(readyDataSeqs().size());
+    full.ctrKeep = static_cast<unsigned>(readyCtrSeqs().size());
+    drainAdr(nvm.persistedState(), full);
+    // The ADR budget's last act: flush the integrity tree, root last
+    // (DESIGN.md section 4f: the volatile mirror is the tree of the
+    // persisted store, so the flush is a rebuild of the post-drain
+    // store).
+    if (cfg.integrityTree)
+        rebuildTree(nvm.persistedState(), cfg.counterRegionBase, 0,
+                    ~Addr(0));
+    crashWithCut(full);
 }
 
 void
 MemController::crashWithCut(const AdrCut &cut)
 {
-    // ADR: drain exactly the kept ready entries (section 5.2.2, steps
-    // 4-5). An injected energy-exhaustion fault loses the tail of the
-    // global drain order; this channel's lost entries count as dropped.
-    unsigned data_keep = cut.dataKeep;
-    unsigned ctr_keep = cut.ctrKeep;
-    for (const DataEntry &entry : dataQ) {
-        if (entry.ready && data_keep > 0) {
-            // Raw persistence, not persistDataEntry(): the lazy tree
-            // hooks stay out of the dying drain — the full tree flush
-            // below covers everything, exactly as in
-            // captureCrashState().
-            persistDataEntryTo(nvm.persistedState(), entry);
-            --data_keep;
-        } else {
-            ++crashDroppedData;
-        }
-    }
-    for (const CtrEntry &entry : ctrQ) {
-        if (entry.ready && entry.pendingPartners == 0 && ctr_keep > 0) {
-            nvm.drainCounters(entry.addr, entry.values);
-            --ctr_keep;
-        } else {
-            ++crashDroppedCtr;
-        }
-    }
-
-    // The ADR budget's last act: flush the integrity tree, root last
-    // (see captureCrashState for why this is a rebuild from the
-    // post-drain store, and why it precedes any injected fault). The
-    // multi-channel coordinator clears flushTree and rebuilds globally
-    // once all channels have drained.
-    if (cut.flushTree && cfg.integrityTree)
-        rebuildTree(nvm.persistedState(), cfg.counterRegionBase, 0,
-                    ~Addr(0));
+    // A cut keeps a prefix of the ready entries; everything else in
+    // the queues (unready entries and the lost tail) died with power.
+    cnvm_assert(cut.dataKeep <= dataQ.size() && cut.ctrKeep <= ctrQ.size());
+    crashDroppedData += dataQ.size() - cut.dataKeep;
+    crashDroppedCtr += ctrQ.size() - cut.ctrKeep;
 
     // In the ideal design every counter is persisted alongside its data
     // at drain time, so nothing in the counter cache can be lost; no
@@ -1419,7 +1353,7 @@ MemController::crashWithCut(const AdrCut &cut)
     outstandingReads = 0;
     pendingCcEvictions.clear();
     retryCallbacks.clear();
-    dirtyTreeLeaves.clear(); // flushed above; the mirror dies with us
+    dirtyTreeLeaves.clear(); // flushed by the caller; the mirror dies
 
     // The encryption engine's counter registers are volatile and die
     // with the power failure; what survives is the persisted counter

@@ -205,57 +205,36 @@ class MemController : public MemBackend
     // ------------------------------------------------------------------
 
     /**
-     * Models a power failure: the ADR logic drains exactly the
-     * ready-marked queue entries into the NVM image, then all volatile
-     * controller state (counter cache, queues, pipeline) is lost
-     * (paper section 5.2.2, "Steps During a System Failure").
-     *
-     * @param adr_drop_tail entries the dying energy budget fails to
-     *        drain, taken off the *tail* of the drain order (data
-     *        entries in age order, then counter entries) — the
-     *        fault model's energy-exhaustion knob. 0 = the clean,
-     *        fully-budgeted drain.
+     * Models a power failure of this controller alone: the ADR logic
+     * drains every ready-marked queue entry into the NVM image
+     * (drainAdr() with the full budget), the integrity tree is flushed
+     * root last, then all volatile controller state (counter cache,
+     * queues, pipeline) is lost (paper section 5.2.2, "Steps During a
+     * System Failure"). A System fails all its channels at once
+     * through System::crashChannels(), which owns the global ADR cut.
      */
-    void crash(unsigned adr_drop_tail = 0);
+    void crash();
 
     /**
-     * The fork-capture half of crash(): applies the ADR drain of the
-     * ready-marked queue entries to @p img — a *copy* of the device's
-     * persisted state — instead of to the device itself, and tears
-     * nothing down. After this overlay, @p img holds exactly what
-     * recovery would find had the power failed at this instant, while
-     * the live controller keeps running untouched. Deliberately
-     * side-effect free: no stats counters (crashDroppedData/Ctr stay
-     * put) and no queue or cache mutation, so a trunk run with any
-     * number of captures is byte-identical to an unarmed run.
-     *
-     * @param adr_drop_tail as for crash(): ready entries lost off the
-     *        drain tail.
+     * The ADR drain of a power failure, as an overlay on @p img: every
+     * ready data entry kept by @p cut, in queue (age) order, then every
+     * kept fully-paired ready counter entry. @p img is the device's own
+     * image for an in-place crash, or a copy-on-write copy of it for a
+     * fork capture. Deliberately side-effect free: no stats counters
+     * and no queue or cache mutation, so a trunk run with any number
+     * of captures is byte-identical to an unarmed run. The tree flush
+     * and the fault dose are the caller's, after every channel drained.
      */
-    void captureCrashState(PersistImage &img,
-                           unsigned adr_drop_tail = 0) const;
+    void drainAdr(PersistImage &img, const AdrCut &cut) const;
 
     /**
-     * The single-channel ADR cut for @p adr_drop_tail dropped entries:
-     * all ready data entries first, then fully-paired ready counter
-     * entries, losing the tail. crash()/captureCrashState() are
-     * exactly crashWithCut(cutFor(n)) / captureCrashStateWithCut().
-     */
-    AdrCut cutFor(unsigned adr_drop_tail) const;
-
-    /**
-     * Multi-channel crash: drains the keep-prefixes of @p cut (as
-     * computed globally by computeDrainKeeps over every channel's
-     * ready entries) and tears down the volatile state of this
-     * channel. With cut.flushTree cleared, the caller owns the global
-     * integrity-tree rebuild over the merged image.
+     * The volatile half of a power failure whose ADR drain @p cut has
+     * already been applied to the device image: counts the queue
+     * entries the cut lost (crash_dropped_*), discards the queues,
+     * pipeline and counter cache, and re-seeds the counter registers
+     * from the persisted store (reseedFromPersistedImage()).
      */
     void crashWithCut(const AdrCut &cut);
-
-    /** Fork-capture twin of crashWithCut(): overlay only, no
-     *  teardown, no stats movement. */
-    void captureCrashStateWithCut(PersistImage &img,
-                                  const AdrCut &cut) const;
 
     /**
      * Rebuilds this channel's volatile counter state from the
@@ -277,14 +256,6 @@ class MemController : public MemBackend
     /** Sequence numbers of ready, fully paired counter entries, in
      *  queue order. */
     std::vector<std::uint64_t> readyCtrSeqs() const;
-
-    /**
-     * Ready-marked entries the ADR drain would persist right now
-     * (ready data entries plus fully-paired ready counter entries) —
-     * the population the fault model draws its energy-exhaustion drop
-     * from.
-     */
-    unsigned readyEntryCount() const;
 
     /**
      * Zero-time setup helper: installs a line into the persisted image

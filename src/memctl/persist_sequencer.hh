@@ -56,14 +56,6 @@ struct AdrCut
 {
     unsigned dataKeep = 0;
     unsigned ctrKeep = 0;
-
-    /**
-     * Whether the channel rebuilds the integrity tree over its image
-     * after draining. Single-channel callers leave this set; the
-     * multi-channel coordinator clears it and rebuilds the tree once,
-     * globally, so the root is persisted last across *all* channels.
-     */
-    bool flushTree = true;
 };
 
 /** The ready (ADR-eligible) entries of one channel, by sequence. */
@@ -83,8 +75,10 @@ struct ChannelReady
  *
  * Matches the single-channel drain order exactly: all ready data
  * entries persist before any counter entry, each class in global
- * sequence order. The returned cuts have flushTree = false — the
- * caller owns the global tree rebuild.
+ * sequence order. The caller drains each channel's cut
+ * (MemController::drainAdr) and then flushes the integrity tree once,
+ * over the merged image, so the root persists last across *all*
+ * channels (System's power-failure path).
  */
 inline std::vector<AdrCut>
 computeDrainKeeps(const std::vector<ChannelReady> &ready, unsigned drop)
@@ -118,8 +112,6 @@ computeDrainKeeps(const std::vector<ChannelReady> &ready, unsigned drop)
     std::uint64_t budget = total - std::min<std::uint64_t>(drop, total);
 
     std::vector<AdrCut> cuts(ready.size());
-    for (auto &cut : cuts)
-        cut.flushTree = false;
     for (const Tagged &t : data) {
         if (budget == 0)
             break;

@@ -63,8 +63,9 @@ FaultModel::adrDropCount(unsigned ready_entries)
     if (spec.adrDrops == 0)
         return 0;
     // Draw before clamping so the RNG stream does not depend on queue
-    // occupancy — Replay and Fork capture the same instant, but keeping
-    // the draw unconditional makes the invariant obvious.
+    // occupancy: the media dose that follows draws the same victims
+    // whether the ready population was empty (a clean shutdown) or
+    // not.
     auto drop = static_cast<unsigned>(rng.below(spec.adrDrops + 1));
     return std::min(drop, ready_entries);
 }
@@ -76,8 +77,8 @@ FaultModel::applyMediaFaults(PersistImage &img)
         && spec.counterFaults == 0 && spec.replays == 0)
         return;
 
-    // Victims come from the sorted persisted-line list, so Replay and
-    // Fork captures of one state draw the same ones.
+    // Victims come from the sorted persisted-line list, so an in-place
+    // crash and a fork capture of one state draw the same ones.
     std::vector<Addr> lines = img.dataLineAddrs();
     if (lines.empty())
         return;

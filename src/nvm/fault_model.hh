@@ -19,8 +19,8 @@
  *
  * Faults are seeded and deterministic per plan point: the same
  * FaultSpec applied to the same persisted image mutates it
- * identically, in Replay and Fork sweep modes alike, at any job
- * count. Victim lines are chosen from the *sorted* persisted address
+ * identically, on the device for an in-place crash and on a fork's
+ * copy for a sweep capture, at any job count. Victim lines are chosen from the *sorted* persisted address
  * list, which is what makes the sweep fingerprint reproducible.
  *
  * Injected corruptions are recorded in the image as simulator-only
@@ -106,9 +106,10 @@ struct FaultSpec
 
 /**
  * Applies one FaultSpec to one captured persisted image. The two
- * entry points must be called in a fixed order — adrDropCount() first,
- * then applyMediaFaults() — because they share the RNG stream; the
- * System crash and fork-capture paths both follow it.
+ * entry points share one RNG stream, so their order is part of the
+ * fault stream: adrDropCount() first, then applyMediaFaults(). One
+ * function owns that order — System's power-failure sequence, which
+ * an in-place crash, a clean shutdown and a fork capture all run.
  */
 class FaultModel
 {

@@ -2,14 +2,16 @@
  * @file
  * Fixed-size work pool over an indexed task queue.
  *
- * The crash-point sweep's Execute phase runs K independent System
- * instances — one per planned crash point — and the bench harness runs
- * independent per-design probes. Both are embarrassingly parallel, but
- * both must stay byte-identical to their serial reference loops: sweep
- * fingerprints and stats dumps are diffed across runs. The pool
- * therefore hands out *indices* from a shared cursor and callers
- * collect each result into its own slot, so the merged output is in
- * plan order no matter which worker finished first.
+ * The crash sweep classifies the forks its one trunk run captures,
+ * the crash-during-recovery sweep recovers independent crashed images,
+ * the soak runs independent chains, and a recovery's integrity
+ * pre-scan verifies disjoint shards of one image. All of it is
+ * embarrassingly parallel, but all of it must stay byte-identical to
+ * its serial reference loop: sweep and soak fingerprints are diffed
+ * across job counts. The pool therefore hands out *indices* from a
+ * shared cursor and callers collect each result into its own slot, so
+ * the merged output is in plan order no matter which worker finished
+ * first.
  *
  * jobs() == 1 runs every index inline on the calling thread with no
  * worker threads at all: the serial reference path.

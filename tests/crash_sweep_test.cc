@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "core/crash_sweep.hh"
+#include "integrity/integrity_tree.hh"
 #include "replay_reference.hh"
 #include "sim/trigger.hh"
 
@@ -228,23 +230,6 @@ TEST(CrashSweepEndToEnd, ParallelExecuteIsByteIdenticalToSerial)
     }
 }
 
-TEST(CrashSweepEndToEnd, ExternalPoolMatchesInternalPool)
-{
-    SystemConfig cfg = smallConfig(DesignPoint::SCA);
-    SweepOptions opt;
-    opt.points = 6;
-    opt.jobs = 4;
-    std::string internal = runSweep(cfg, opt).fingerprint();
-
-    WorkPool pool(4);
-    // The same pool drives two sweeps in a row (reuse across designs,
-    // as the CLI tools do).
-    std::string first = runSweep(cfg, opt, &pool).fingerprint();
-    std::string second = runSweep(cfg, opt, &pool).fingerprint();
-    EXPECT_EQ(internal, first);
-    EXPECT_EQ(first, second);
-}
-
 TEST(CrashSweepEndToEnd, UnsafeFailsAsTornCounter)
 {
     // The Unsafe design's signature: the data drains, its deferred
@@ -432,6 +417,161 @@ TEST(ForkSweep, PersistForkIsADeepCopy)
     EXPECT_EQ(after.committedTxns, before.committedTxns);
     EXPECT_EQ(after.snapshot.tick, before.snapshot.tick);
 }
+
+// --- fork image == in-place crash image ----------------------------------
+
+/** Every node the tree store can hold for the counter line at
+ *  @p ctr_addr: its eight level-0 slots and its ancestors up to the
+ *  last level below the root. */
+void
+expectSameTreeNodes(const PersistImage &want, const PersistImage &got,
+                    Addr ctr_base, Addr ctr_addr, const std::string &where)
+{
+    const std::uint64_t leaf = (ctr_addr - ctr_base) / lineBytes;
+    auto same = [&](unsigned level, std::uint64_t index) {
+        const std::uint64_t *w = want.persistedTreeNode(level, index);
+        const std::uint64_t *g = got.persistedTreeNode(level, index);
+        ASSERT_EQ(w == nullptr, g == nullptr)
+            << where << " tree node " << level << "/" << index;
+        if (w != nullptr) {
+            EXPECT_EQ(*w, *g) << where << " tree node " << level << "/"
+                              << index;
+        }
+    };
+    for (unsigned s = 0; s < countersPerLine; ++s)
+        same(0, leaf * countersPerLine + s);
+    for (unsigned level = 1; level < treeRootLevel; ++level)
+        same(level, leaf >> (3 * (level - 1)));
+}
+
+/** Line-by-line equality of two persisted images: data triples,
+ *  counter store, tree store, stale triples and fault ground truth. */
+void
+expectSameImage(const PersistImage &want, const PersistImage &got,
+                Addr ctr_base, const std::string &where)
+{
+    const std::vector<Addr> lines = want.dataLineAddrs();
+    ASSERT_EQ(lines, got.dataLineAddrs()) << where;
+    for (Addr a : lines) {
+        EXPECT_EQ(*want.persistedLine(a), *got.persistedLine(a))
+            << where << " data line " << a;
+        EXPECT_EQ(want.persistedCipherCounter(a),
+                  got.persistedCipherCounter(a))
+            << where << " cipher counter " << a;
+        const std::uint64_t *wm = want.persistedMac(a);
+        const std::uint64_t *gm = got.persistedMac(a);
+        ASSERT_EQ(wm == nullptr, gm == nullptr) << where << " MAC " << a;
+        if (wm != nullptr) {
+            EXPECT_EQ(*wm, *gm) << where << " MAC " << a;
+        }
+        EXPECT_EQ(want.lineFaulted(a), got.lineFaulted(a))
+            << where << " faulted " << a;
+        EXPECT_EQ(want.lineReplayed(a), got.lineReplayed(a))
+            << where << " replayed " << a;
+    }
+    EXPECT_EQ(want.faultedLineCount(), got.faultedLineCount()) << where;
+    EXPECT_EQ(want.replayedLineCount(), got.replayedLineCount()) << where;
+    EXPECT_EQ(want.replayableLineAddrs(), got.replayableLineAddrs())
+        << where;
+
+    const std::vector<Addr> ctrs = want.counterLineAddrs();
+    ASSERT_EQ(ctrs, got.counterLineAddrs()) << where;
+    for (Addr c : ctrs) {
+        EXPECT_EQ(want.persistedCounters(c), got.persistedCounters(c))
+            << where << " counter line " << c;
+        expectSameTreeNodes(want, got, ctr_base, c, where);
+    }
+    EXPECT_EQ(want.persistedTreeLeafIndices(),
+              got.persistedTreeLeafIndices())
+        << where;
+    const std::uint64_t *wr = want.persistedTreeRoot();
+    const std::uint64_t *gr = got.persistedTreeRoot();
+    ASSERT_EQ(wr == nullptr, gr == nullptr) << where << " root";
+    if (wr != nullptr) {
+        EXPECT_EQ(*wr, *gr) << where << " root";
+    }
+}
+
+class ForkImage : public ::testing::TestWithParam<DesignPoint>
+{};
+
+TEST_P(ForkImage, EqualsInPlaceCrashImage)
+{
+    // A fork captured at spec S holds byte for byte the image an
+    // in-place crash at S leaves on the device, before recovery — not
+    // just an image that classifies the same. Both run the one
+    // power-failure sequence (drain, tree flush, fault dose); this
+    // pins that they run it on the same state.
+    for (unsigned channels : {1u, 4u}) {
+        for (bool dosed : {false, true}) {
+            SystemConfig cfg = smallConfig(GetParam());
+            cfg.numChannels = channels;
+            FaultSpec faults;
+            if (dosed) {
+                cfg.memctl.integrityMac = true;
+                cfg.memctl.integrityTree = true;
+                faults = FaultSpec::allKindsWithReplays(11);
+            }
+            const std::vector<CrashSpec> plan =
+                planSweep(probeRun(cfg), 4, true, faults);
+
+            std::vector<std::optional<PersistFork>> forks(plan.size());
+            System trunk(cfg);
+            trunk.runWithForkCapture(
+                plan, [&](std::size_t i, PersistFork fork) {
+                    forks[i] = std::move(fork);
+                });
+
+            unsigned compared = 0;
+            std::size_t dosed_lines = 0;
+            for (std::size_t i = 0; i < plan.size(); ++i) {
+                const std::string where = std::string(designName(
+                    GetParam())) + " ch=" + std::to_string(channels)
+                    + (dosed ? " dosed " : " clean ")
+                    + plan[i].describe();
+                System crashed(cfg);
+                RunResult r = crashed.runWithCrash(plan[i]);
+                ASSERT_EQ(r.crashed, forks[i].has_value()) << where;
+                if (!r.crashed)
+                    continue;
+                ++compared;
+
+                const CrashSnapshot &want = crashed.crashSnapshot();
+                const CrashSnapshot &got = forks[i]->snapshot;
+                EXPECT_TRUE(got.valid) << where;
+                EXPECT_EQ(want.tick, got.tick) << where;
+                EXPECT_EQ(want.dataQueue, got.dataQueue) << where;
+                EXPECT_EQ(want.ctrQueue, got.ctrQueue) << where;
+                EXPECT_EQ(want.landing, got.landing) << where;
+                EXPECT_EQ(want.pipeline, got.pipeline) << where;
+                EXPECT_EQ(want.inflight, got.inflight) << where;
+                EXPECT_EQ(want.outstandingReads, got.outstandingReads)
+                    << where;
+
+                expectSameImage(crashed.nvm().persistedState(),
+                                forks[i]->image,
+                                cfg.memctl.counterRegionBase, where);
+                dosed_lines += forks[i]->image.faultedLineCount()
+                    + forks[i]->image.replayedLineCount();
+            }
+            EXPECT_GT(compared, 0u) << "no planned point fired";
+            if (dosed) {
+                EXPECT_GT(dosed_lines, 0u) << "the dose never landed";
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, ForkImage,
+                         ::testing::ValuesIn(allDesignPoints()),
+                         [](const auto &info) {
+                             std::string n = designName(info.param);
+                             for (char &c : n)
+                                 if (!std::isalnum(
+                                         static_cast<unsigned char>(c)))
+                                     c = '_';
+                             return n;
+                         });
 
 } // anonymous namespace
 } // namespace cnvm

@@ -8,7 +8,8 @@
 # directions, CLI usage-contract smokes, a
 # ThreadSanitizer pass over the parallel sweep and recovery paths
 # (replay-dosed pre-scan and the 4-channel fork capture included), and
-# a Release pass: sweep smokes plus the benchmark harness selftest
+# a Release pass: sweep smokes, the byte-identity table diffed against
+# tools/identity_digests.expected, and the benchmark harness selftest
 # (perfbench/run.py --selftest).
 #
 #   tools/ci.sh [build-dir] [release-build-dir] [tsan-build-dir]
@@ -195,4 +196,10 @@ cmake -B "$release" -S "$repo" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$release" -j "$(nproc)"
 "$release/tools/cnvm_crash_sweep" --points 20 --jobs 4
 "$release/tools/cnvm_crash_sweep" --points 20 --channels 4 --jobs 4
+# Byte identity as a gate: the Release binaries must print exactly the
+# checked-in identity table (stats dumps, crashed-run recoveries, sweep
+# and soak fingerprints). A change that moves a row fails here until
+# tools/identity_digests.expected is regenerated and the move explained.
+"$repo/tools/identity_digests.sh" "$release" \
+    | diff -u "$repo/tools/identity_digests.expected" -
 (cd "$repo" && CARGO_TARGET_DIR="$release" python3 perfbench/run.py --selftest)

@@ -193,18 +193,18 @@ struct MatrixTotals
 /** Sweeps one design; returns whether it behaved as designed and adds
  *  its silent/replay points into @p totals. */
 bool
-sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
-            MatrixTotals &totals)
+sweepDesign(const Options &opt, DesignPoint design, MatrixTotals &totals)
 {
     SystemConfig cfg = opt.cfg;
     cfg.design = design;
 
     SweepOptions sweep_opt;
     sweep_opt.points = opt.points;
+    sweep_opt.jobs = opt.jobs;
     sweep_opt.semanticTriggers = opt.semanticTriggers;
     sweep_opt.recoveryJobs = opt.recoveryJobs;
     sweep_opt.faults = opt.fault.spec();
-    SweepResult result = runSweep(cfg, sweep_opt, &pool);
+    SweepResult result = runSweep(cfg, sweep_opt);
 
     if (opt.verbose) {
         for (const SweepPoint &p : result.points) {
@@ -305,7 +305,7 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
  *  recovery at least once and every interrupted recovery converged.
  *  Prints the reason when it returns false. */
 bool
-recrashDesign(const Options &opt, DesignPoint design, WorkPool &pool)
+recrashDesign(const Options &opt, DesignPoint design)
 {
     SystemConfig cfg = opt.cfg;
     cfg.design = design;
@@ -313,12 +313,12 @@ recrashDesign(const Options &opt, DesignPoint design, WorkPool &pool)
     RecoveryCrashOptions rc_opt;
     rc_opt.points = opt.recoveryCrashes;
     rc_opt.images = opt.points;
+    rc_opt.jobs = opt.jobs;
     rc_opt.recoveryJobs = opt.recoveryJobs;
     rc_opt.semanticTriggers = opt.semanticTriggers;
     rc_opt.faults = opt.fault.spec();
 
-    RecoveryCrashResult result = runRecoveryCrashSweep(cfg, rc_opt,
-                                                       &pool);
+    RecoveryCrashResult result = runRecoveryCrashSweep(cfg, rc_opt);
 
     if (opt.verbose) {
         for (const RecoveryCrashPoint &p : result.points) {
@@ -371,9 +371,8 @@ int
 main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
-
-    // One pool, reused across every design's Execute phase.
-    WorkPool pool(opt.jobs);
+    if (opt.jobs == 0)
+        opt.jobs = WorkPool::hardwareJobs();
 
     if (opt.recoveryCrashes > 0) {
         std::printf("crash-during-recovery sweep: %u images/design, "
@@ -384,7 +383,7 @@ main(int argc, char **argv)
                     workloadKindName(opt.cfg.workload), opt.cfg.numCores,
                     opt.cfg.wl.txnTarget,
                     static_cast<unsigned long long>(opt.cfg.wl.seed),
-                    pool.jobs(), opt.recoveryJobs,
+                    opt.jobs, opt.recoveryJobs,
                     opt.fault.faults ? ", media faults" : "",
                     opt.integrityTree() ? ", integrity tree"
                         : opt.integrity() ? ", integrity MACs" : "");
@@ -392,7 +391,7 @@ main(int argc, char **argv)
                     "captured", "points", "fired", "divergent");
         bool all_ok = true;
         for (DesignPoint d : opt.designs)
-            all_ok = recrashDesign(opt, d, pool) && all_ok;
+            all_ok = recrashDesign(opt, d) && all_ok;
         return all_ok ? 0 : 1;
     }
 
@@ -401,7 +400,7 @@ main(int argc, char **argv)
                 opt.points, workloadKindName(opt.cfg.workload),
                 opt.cfg.numCores, opt.cfg.wl.txnTarget,
                 static_cast<unsigned long long>(opt.cfg.wl.seed),
-                pool.jobs(),
+                opt.jobs,
                 opt.semanticTriggers ? "" : ", ticks only",
                 opt.fault.faults ? ", media faults" : "",
                 opt.fault.replays ? " + replays" : "",
@@ -415,7 +414,7 @@ main(int argc, char **argv)
     bool all_ok = true;
     MatrixTotals totals;
     for (DesignPoint d : opt.designs) {
-        if (!sweepDesign(opt, d, pool, totals)) {
+        if (!sweepDesign(opt, d, totals)) {
             all_ok = false;
             std::printf("  ^^ %s did not behave as designed\n",
                         shortDesignName(d));

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "core/soak.hh"
-#include "runner/runner.hh"
 #include "stats/stats.hh"
 #include "tool_args.hh"
 
@@ -226,13 +225,13 @@ printCycleStats(DesignPoint d, const SoakChainResult &chain)
 /** Soaks one design; returns whether it behaved as designed and adds
  *  its silent-cycle tallies into @p totals. */
 bool
-soakDesign(const Options &opt, DesignPoint design, WorkPool &pool,
-           MatrixTotals &totals, stats::Scalar &cycles_stat)
+soakDesign(const Options &opt, DesignPoint design, MatrixTotals &totals,
+           stats::Scalar &cycles_stat)
 {
     SystemConfig cfg = opt.cfg;
     cfg.design = design;
 
-    SoakResult result = runSoak(cfg, opt.soak, &pool);
+    SoakResult result = runSoak(cfg, opt.soak);
 
     unsigned silent = 0, silent_replay = 0, detected = 0, rp_det = 0;
     unsigned crashed = 0, dosed = 0, resets = 0, interrupts = 0;
@@ -307,8 +306,6 @@ main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
 
-    WorkPool pool(opt.soak.jobs);
-
     stats::StatRegistry registry;
     stats::Scalar cycles_stat("soak.cycles",
                               "crash→recover→resume cycles executed "
@@ -323,7 +320,7 @@ main(int argc, char **argv)
                 opt.soak.cycles, opt.soak.chains, opt.soak.txnsPerCycle,
                 workloadKindName(opt.cfg.workload), opt.cfg.numCores,
                 static_cast<unsigned long long>(opt.soak.seed),
-                pool.jobs(), opt.soak.recoveryJobs,
+                opt.soak.jobs, opt.soak.recoveryJobs,
                 opt.fault.faults ? ", media faults" : "",
                 opt.fault.replays ? " + replays" : "",
                 opt.soak.recoveryCrashes > 0 ? ", recovery-crash probe"
@@ -337,7 +334,7 @@ main(int argc, char **argv)
     bool all_ok = true;
     MatrixTotals totals;
     for (DesignPoint d : opt.designs) {
-        if (!soakDesign(opt, d, pool, totals, cycles_stat)) {
+        if (!soakDesign(opt, d, totals, cycles_stat)) {
             all_ok = false;
             std::printf("  ^^ %s did not behave as designed\n",
                         shortDesignName(d));

@@ -13,13 +13,23 @@
 #   tools/identity_digests.sh build-after > after.md
 #   diff before.md after.md
 #
+# The expected table is checked in as tools/identity_digests.expected
+# and tools/ci.sh diffs a Release build's output against it, so a
+# change that moves any row fails CI until the table is updated (and
+# the change explained).
+#
 # The matrix: `cnvm_sim --stats` for all 7 designs at 1, 4 and 8
-# channels; `cnvm_crash_sweep --fingerprint` with faults, replays and
-# the integrity tree, at --jobs 1 and 4 and --channels 1 and 4; one
-# sweep over a 4 MB region, whose persisted image spans more than one
+# channels; `cnvm_sim --stats --verify` crashed at half the run with
+# the integrity tree, for all 7 designs at 1 and 4 channels (the
+# in-place crash path, its crash_dropped_* stats and its recovery);
+# `cnvm_crash_sweep --fingerprint` with faults, replays and the
+# integrity tree, at --jobs 1 and 4 and --channels 1 and 4; one sweep
+# over a 4 MB region, whose persisted image spans more than one
 # LineTable directory chunk (512 pages x 64 lines = 2 MB of data
 # lines), so sharing and cloning pages across chunks is pinned too; and
-# two `cnvm_soak --fingerprint` chains. A run that exits non-zero gets its exit status appended to
+# two `cnvm_soak --fingerprint` chains. No row depends on the host's
+# thread count (the sweeps name --jobs; the rest default to one
+# thread). A run that exits non-zero gets its exit status appended to
 # its row.
 
 set -u -o pipefail
@@ -57,6 +67,13 @@ for channels in 1 4 8; do
         row cnvm_sim --stats --design "$design" --channels "$channels"
     done
 done
+for channels in 1 4; do
+    for design in NoEncryption Ideal Colocated ColocatedCC FCA SCA Unsafe; do
+        row cnvm_sim --stats --verify --design "$design" \
+            --channels "$channels" --footprint-mb 1 --txns 100 \
+            --crash-at-frac 0.5 --integrity-tree
+    done
+done
 for jobs in 1 4; do
     for channels in 1 4; do
         row cnvm_crash_sweep --fingerprint --faults --replays \
@@ -64,6 +81,6 @@ for jobs in 1 4; do
     done
 done
 row cnvm_crash_sweep --footprint-kb 4096 --points 16 --faults --replays \
-    --integrity-tree --fingerprint
+    --integrity-tree --fingerprint --jobs 4
 row cnvm_soak --fingerprint
 row cnvm_soak --fingerprint --faults --replays --integrity-tree --channels 4
